@@ -32,7 +32,6 @@ from .solver import (
     Propagation,
     UnsatFormulaError,
     entails,
-    enumerate_models,
     full_backbones,
     solve,
     unit_propagate,
@@ -71,7 +70,6 @@ __all__ = [
     "definite_horn_iterative_backbones",
     "emit_dimacs",
     "entails",
-    "enumerate_models",
     "forced_at_level",
     "full_backbones",
     "horn_consequences",

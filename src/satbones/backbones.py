@@ -9,9 +9,9 @@ original clauses entail ``x``, and vice versa.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .formula import CnfFormula
+from .formula import CnfFormula, literal_order
 from .unsat_subsets import WitnessSubset, sus_search
 
 
@@ -52,6 +52,25 @@ def backbone_split(
     return CnfFormula(combined), origin
 
 
+def _split_witness(
+    formula: CnfFormula, var: int, k: int, minimum: bool
+) -> Optional[WitnessSubset]:
+    """Search the backbone split of var and map a witness back to the
+    original clause ids, with the literal it certifies."""
+    split, origin = backbone_split(formula, var)
+    found = sus_search(split, k, minimum=minimum)
+    if found is None:
+        return None
+    certified = {origin[cid][1] for cid in found.clause_ids}
+    # the split halves share no variables, so a connected witness stays in one
+    assert len(certified) == 1
+    return WitnessSubset(
+        frozenset(origin[cid][0] for cid in found.clause_ids),
+        kind="entails",
+        literal=certified.pop(),
+    )
+
+
 def is_k_backbone(
     formula: CnfFormula, var: int, k: int
 ) -> tuple[bool, Optional[bool], Optional[WitnessSubset]]:
@@ -59,20 +78,10 @@ def is_k_backbone(
 
     Returns (verdict, forced polarity, witness over original clause ids).
     """
-    split, origin = backbone_split(formula, var)
-    found = sus_search(split, k)
-    if found is None:
+    witness = _split_witness(formula, var, k, minimum=False)
+    if witness is None:
         return False, None, None
-    certified = {origin[cid][1] for cid in found.clause_ids}
-    # the split halves share no variables, so a connected witness stays in one
-    assert len(certified) == 1
-    literal = certified.pop()
-    witness = WitnessSubset(
-        frozenset(origin[cid][0] for cid in found.clause_ids),
-        kind="entails",
-        literal=literal,
-    )
-    return True, literal > 0, witness
+    return True, witness.literal > 0, witness
 
 
 def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
@@ -87,19 +96,10 @@ def order_with_witness(
     """backbone_order plus the certifying minimum witness and polarity."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    split, origin = backbone_split(formula, var)
-    found = sus_search(split, kmax, minimum=True)
-    if found is None:
+    witness = _split_witness(formula, var, kmax, minimum=True)
+    if witness is None:
         return None, None, None
-    certified = {origin[cid][1] for cid in found.clause_ids}
-    assert len(certified) == 1
-    literal = certified.pop()
-    witness = WitnessSubset(
-        frozenset(origin[cid][0] for cid in found.clause_ids),
-        kind="entails",
-        literal=literal,
-    )
-    return len(found.clause_ids), literal > 0, witness
+    return len(witness.clause_ids), witness.literal > 0, witness
 
 
 def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
@@ -114,41 +114,72 @@ def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
     return result
 
 
+def force_fixpoint(
+    formula: CnfFormula, forced_in: Callable[[CnfFormula], list[int]]
+) -> IterativeResult:
+    """Repeatedly assert the literals of one forcing round and reduce.
+
+    ``forced_in(current)`` returns the literals forced in the current
+    formula, in scan order; the round's literals are asserted together and
+    the next round scans the reduct, until a round forces nothing.  Raises
+    UnsatDetected if a contradiction surfaces (an empty clause, or both
+    polarities of a variable forced in one round).
+    """
+    current = formula
+    forced: list[int] = []
+    while True:
+        if current.has_empty_clause():
+            raise UnsatDetected("empty clause reached")
+        new_literals = forced_in(current)
+        if not new_literals:
+            return IterativeResult(
+                tuple(forced), frozenset(abs(l) for l in forced)
+            )
+        round_set = set(new_literals)
+        for lit in new_literals:
+            if -lit in round_set:
+                raise UnsatDetected(
+                    f"both polarities of variable {abs(lit)} are forced"
+                )
+        forced.extend(new_literals)
+        current = current.reduct(new_literals)
+
+
 def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     """Repeatedly assert k-forced literals and reduce, until fixpoint.
 
     One round scans every literal of the current formula (ascending variable,
     positive polarity first) and tests whether asserting its complement
     leaves an unsatisfiable subset of at most k clauses; the consequences are
-    applied between rounds.  Raises UnsatDetected if a contradiction surfaces
-    (an empty clause, or both polarities of a variable forced).
+    applied between rounds.  Raises UnsatDetected if a contradiction surfaces.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    current = formula
-    forced: list[int] = []
-    forced_set: set[int] = set()
-    for _ in range(len(formula.literals)):
-        if current.has_empty_clause():
-            raise UnsatDetected("empty clause reached")
-        new_literals: list[int] = []
-        for lit in sorted(current.literals, key=lambda l: (abs(l), l < 0)):
-            if sus_search(current.reduct((-lit,)), k) is not None:
-                new_literals.append(lit)
-        if not new_literals:
+    return force_fixpoint(
+        formula,
+        lambda current: [
+            lit
+            for lit in literal_order(current.literals)
+            if sus_search(current.reduct((-lit,)), k) is not None
+        ],
+    )
+
+
+def iterative_orders(
+    formula: CnfFormula, variables: Sequence[int], kmax: int
+) -> dict[int, int]:
+    """Smallest k <= kmax at which each variable joins the iterative
+    k-backbones; variables beyond kmax are left out.  Stops at the first k
+    that has placed every variable."""
+    orders: dict[int, int] = {}
+    for k in range(1, kmax + 1):
+        found = iterative_k_backbones(formula, k).variables
+        for v in variables:
+            if v in found and v not in orders:
+                orders[v] = k
+        if all(v in orders for v in variables):
             break
-        for lit in new_literals:
-            if -lit in forced_set or -lit in new_literals:
-                raise UnsatDetected(
-                    f"both polarities of variable {abs(lit)} are forced"
-                )
-            forced.append(lit)
-            forced_set.add(lit)
-        current = current.reduct(new_literals)
-    else:
-        if current.has_empty_clause():
-            raise UnsatDetected("empty clause reached")
-    return IterativeResult(tuple(forced), frozenset(abs(l) for l in forced))
+    return orders
 
 
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
@@ -157,7 +188,4 @@ def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
         raise ValueError(f"variable {var} not in formula")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    for k in range(1, kmax + 1):
-        if var in iterative_k_backbones(formula, k).variables:
-            return k
-    return None
+    return iterative_orders(formula, (var,), kmax).get(var)

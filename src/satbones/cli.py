@@ -21,7 +21,7 @@ from .backbones import (
     local_backbones,
 )
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
-from .formula import CnfFormula, FormulaClassError, classify
+from .formula import CnfFormula, FormulaClassError, classify, literal_order
 from .generators import InfeasibleParameters, implication_cycle, random_formula
 from .report import build_report
 from .solver import UnsatFormulaError, full_backbones, solve
@@ -55,7 +55,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 def _excerpt(formula: CnfFormula, clause_ids) -> str:
     lines = []
     for cid in sorted(clause_ids):
-        lits = sorted(formula.clause(cid), key=lambda l: (abs(l), l < 0))
+        lits = literal_order(formula.clause(cid))
         lines.append(f"  {cid}: {' '.join(map(str, lits))} 0")
     return "\n".join(lines)
 
@@ -155,7 +155,7 @@ def cmd_iterative(args) -> int:
 def cmd_uc(args) -> int:
     formula = _read_formula(args)
     result = level_reduce(formula, args.k)
-    for lit in sorted(result.forced, key=lambda l: (abs(l), l < 0)):
+    for lit in literal_order(result.forced):
         print(lit)
     print(f"total: {len(result.forced)}")
     print(f"residual clauses: {len(result.residual)}")
@@ -212,7 +212,7 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     formula = _read_formula(args)
     name = os.path.basename(args.path)
-    result = build_report(formula, args.kmax, instance=name, jobs=args.jobs)
+    result = build_report(formula, args.kmax, instance=name)
     text = result.to_csv() if args.format == "csv" else result.to_json()
     _write_output(text, args.output)
     return EXIT_OK
@@ -227,17 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("path", help="DIMACS CNF file")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--strict-tautologies",
-            action="store_true",
-            default=True,
-            help="reject tautological clauses (default)",
-        )
-        group.add_argument(
+        p.add_argument(
             "--drop-tautologies",
             action="store_true",
-            help="drop tautological clauses with a diagnostic",
+            help="drop tautological clauses with a diagnostic "
+            "(default: reject them)",
         )
 
     p = sub.add_parser("classify", help="formula class flags and counts")
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=cmd_report)
 

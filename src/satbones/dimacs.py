@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .formula import CnfFormula
+from .formula import CnfFormula, literal_order
 
 
 class DimacsError(ValueError):
@@ -115,6 +115,6 @@ def emit_dimacs(formula: CnfFormula) -> str:
     """Serialize a formula; round-trips with parse_dimacs up to clause order."""
     lines = [f"p cnf {formula.max_var} {len(formula)}"]
     for _, c in formula.clauses():
-        lits = sorted(c, key=lambda l: (abs(l), l < 0))
+        lits = literal_order(c)
         lines.append(" ".join(str(l) for l in lits + [0]))
     return "\n".join(lines) + "\n"

@@ -27,12 +27,9 @@ class FormulaClassError(ValueError):
     """A formula was passed to an algorithm for a class it does not belong to."""
 
 
-def variable_of(literal: int) -> int:
-    return abs(literal)
-
-
-def complement(literal: int) -> int:
-    return -literal
+def literal_order(literals: Iterable[int]) -> list[int]:
+    """Literals in scan order: ascending variable, positive polarity first."""
+    return sorted(literals, key=lambda l: (abs(l), l < 0))
 
 
 @dataclass(frozen=True)

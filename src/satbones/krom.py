@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .backbones import IterativeResult, UnsatDetected
-from .formula import CnfFormula, FormulaClassError, classify
+from .backbones import IterativeResult, force_fixpoint
+from .formula import CnfFormula, FormulaClassError, classify, literal_order
 
 
 class ImplicationGraph:
@@ -71,37 +71,25 @@ class ImplicationGraph:
 def krom_iterative_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     """Iterative k-backbones of a Krom formula via bounded implication paths.
 
-    While some literal l reaches its complement within k edges, the
-    complement is forced and asserted (lowest variable first, positive
-    polarity first).  Raises UnsatDetected when a contradiction surfaces.
+    A literal is forced when its complement reaches it within k edges; each
+    round builds one implication graph of the current formula and forces
+    every such literal (see force_fixpoint).  Raises UnsatDetected when a
+    contradiction surfaces.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not classify(formula).is_krom:
         raise FormulaClassError("formula is not Krom")
-    current = formula
-    forced: list[int] = []
-    forced_set: set[int] = set()
-    while True:
-        if current.has_empty_clause():
-            raise UnsatDetected("empty clause reached")
+
+    def forced_in(current: CnfFormula) -> list[int]:
         graph = ImplicationGraph(current)
-        fired = 0
-        for lit in sorted(current.literals, key=lambda l: (abs(l), l < 0)):
-            if graph.distance(lit, -lit, k) is not None:
-                fired = -lit
-                break
-        if not fired:
-            return IterativeResult(
-                tuple(forced), frozenset(abs(l) for l in forced)
-            )
-        if -fired in forced_set:
-            raise UnsatDetected(
-                f"both polarities of variable {abs(fired)} are forced"
-            )
-        forced.append(fired)
-        forced_set.add(fired)
-        current = current.reduct((fired,))
+        return [
+            lit
+            for lit in literal_order(current.literals)
+            if graph.distance(-lit, lit, k) is not None
+        ]
+
+    return force_fixpoint(formula, forced_in)
 
 
 def krom_order_upper_bound(formula: CnfFormula, var: int) -> Optional[int]:

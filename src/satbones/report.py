@@ -10,11 +10,10 @@ and flags produce byte-identical JSON and CSV.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .backbones import iterative_k_backbones, order_with_witness
+from .backbones import iterative_orders, order_with_witness
 from .formula import CnfFormula
 from .solver import full_backbones
 
@@ -115,38 +114,16 @@ def _pct(count: int, total: int) -> float:
 
 
 def build_report(
-    formula: CnfFormula, kmax: int, instance: str = "", jobs: int = 1
+    formula: CnfFormula, kmax: int, instance: str = ""
 ) -> OrderDistribution:
-    """Compute the distribution report; raises UnsatFormulaError when unsat.
-
-    Per-variable order computations are independent and run on a worker pool
-    of ``jobs`` threads; results are assembled in variable order, so the
-    report does not depend on scheduling.
-    """
+    """Compute the distribution report; raises UnsatFormulaError when unsat."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     backbone = full_backbones(formula)
     variables = sorted(formula.variables)
     backbone_vars = [v for v in variables if v in backbone]
-
-    def order_task(v: int):
-        return order_with_witness(formula, v, kmax)
-
-    if jobs > 1 and len(backbone_vars) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            orders = list(pool.map(order_task, backbone_vars))
-    else:
-        orders = [order_task(v) for v in backbone_vars]
-    order_of = dict(zip(backbone_vars, orders))
-
-    iter_order: dict[int, int] = {}
-    for k in range(1, kmax + 1):
-        found = iterative_k_backbones(formula, k).variables
-        for v in backbone_vars:
-            if v in found and v not in iter_order:
-                iter_order[v] = k
-        if all(v in iter_order for v in backbone_vars):
-            break
+    order_of = {v: order_with_witness(formula, v, kmax) for v in backbone_vars}
+    iter_order = iterative_orders(formula, backbone_vars, kmax)
 
     records = []
     for v in variables:

@@ -7,8 +7,7 @@ unsatisfiable-subset check in this package.  Desk-scale instances only.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .formula import CnfFormula
 
@@ -126,17 +125,3 @@ def full_backbones(formula: CnfFormula) -> dict[int, bool]:
                 if u in counter and counter[u] != candidates[u]:
                     del candidates[u]
     return result
-
-
-def enumerate_models(
-    formula: CnfFormula, max_vars: int = 20
-) -> Iterator[Assignment]:
-    """Yield every total satisfying assignment; brute-force test oracle."""
-    variables = sorted(formula.variables)
-    if len(variables) > max_vars:
-        raise ValueError(f"refusing to enumerate over {len(variables)} variables")
-    sets = formula.literal_sets()
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        assignment = dict(zip(variables, bits))
-        if all(any(assignment[abs(l)] == (l > 0) for l in c) for c in sets):
-            yield assignment

@@ -11,10 +11,9 @@ some families).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .formula import CnfFormula
+from .formula import CnfFormula, literal_order
 
 
 class LevelReduction(NamedTuple):
@@ -27,33 +26,38 @@ def _collapse(formula: CnfFormula) -> CnfFormula:
     return formula.subset((formula.empty_clause_id(),))
 
 
-def _scan_order(formula: CnfFormula) -> list[int]:
-    return sorted(formula.literals, key=lambda l: (abs(l), l < 0))
-
-
-@lru_cache(maxsize=None)
 def _level(
-    formula: CnfFormula, k: int, scan: Optional[tuple[int, ...]]
+    formula: CnfFormula,
+    k: int,
+    scan: Optional[tuple[int, ...]],
+    memo: dict[tuple[CnfFormula, int], LevelReduction],
 ) -> LevelReduction:
     if k == 0:
         if formula.has_empty_clause():
             return LevelReduction(_collapse(formula), frozenset(), True)
         return LevelReduction(formula, frozenset(), False)
+    if (formula, k) in memo:
+        return memo[formula, k]
     current = formula
     forced: set[int] = set()
     progress = True
     while progress:
         progress = False
-        order = [l for l in scan if l in current.literals] if scan else _scan_order(current)
+        order = (
+            [l for l in scan if l in current.literals]
+            if scan
+            else literal_order(current.literals)
+        )
         for lit in order:
-            if _level(current.reduct((-lit,)), k - 1, scan).contradiction:
+            if _level(current.reduct((-lit,)), k - 1, scan, memo).contradiction:
                 forced.add(lit)
                 current = current.reduct((lit,))
                 progress = True
                 break
-    return LevelReduction(
+    memo[formula, k] = result = LevelReduction(
         current, frozenset(forced), current.has_empty_clause()
     )
+    return result
 
 
 def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
@@ -61,12 +65,13 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
 
     For k >= 1 the residual equals the reduct of the input by the forced
     literals; the contradiction flag marks the empty-clause collapse.
-    Results are memoized (the recursion revisits the same reducts heavily);
-    the fixpoint is independent of the literal scan order.
+    Results are memoized for the length of one call (the recursion revisits
+    the same reducts heavily); the fixpoint is independent of the literal
+    scan order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _level(formula, k, None)
+    return _level(formula, k, None, {})
 
 
 def forced_at_level(formula: CnfFormula, k: int) -> frozenset[int]:

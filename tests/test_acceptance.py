@@ -320,8 +320,8 @@ def test_criterion_10_minimal_witnesses_obey_clause_variable_inequality():
 
 def test_criterion_11_report_pipeline():
     cycle = implication_cycle(6)
-    first = build_report(cycle, 6, instance="cycle6", jobs=1)
-    second = build_report(cycle, 6, instance="cycle6", jobs=1)
+    first = build_report(cycle, 6, instance="cycle6")
+    second = build_report(cycle, 6, instance="cycle6")
     assert first.to_json() == second.to_json()
     assert first.to_csv() == second.to_csv()
     rows = first.curve()
@@ -332,8 +332,8 @@ def test_criterion_11_report_pipeline():
 
     chain = F([1], [-1, 2], [-2, 3], [-3, 4], [-4, 5])
     assert classify(chain).is_definite_horn
-    one = build_report(chain, 5, instance="chain5", jobs=1)
-    two = build_report(chain, 5, instance="chain5", jobs=2)
+    one = build_report(chain, 5, instance="chain5")
+    two = build_report(chain, 5, instance="chain5")
     assert one.to_json() == two.to_json()
     assert one.to_csv() == two.to_csv()
     for (_, p1, q1), (_, p2, q2) in zip(one.curve(), one.curve()[1:]):

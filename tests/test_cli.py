@@ -146,8 +146,7 @@ def test_generate_infeasible_exit(tmp_path, capsys):
 
 
 def test_report_csv(chain_file, capsys):
-    assert main(["report", chain_file, "--kmax", "2", "--format", "csv",
-                 "--jobs", "1"]) == 0
+    assert main(["report", chain_file, "--kmax", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "k,pct_order_leq_k,pct_iter_leq_k",

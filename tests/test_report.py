@@ -3,8 +3,8 @@ import json
 import pytest
 
 from conftest import F
-from satbones import UnsatFormulaError, build_report
-from satbones.generators import implication_cycle
+from satbones import UnsatFormulaError, build_report, iterative_order, solve
+from satbones.generators import implication_cycle, random_formula
 
 
 def test_chain_report_curves():
@@ -53,9 +53,9 @@ def test_orders_beyond_cutoff_are_marked():
 
 def test_report_deterministic_and_jobs_invariant():
     f = F([1], [-1, 2], [2, 3], [-3, 4], [1, 4])
-    one = build_report(f, 4, instance="x", jobs=1)
-    two = build_report(f, 4, instance="x", jobs=1)
-    pooled = build_report(f, 4, instance="x", jobs=3)
+    one = build_report(f, 4, instance="x")
+    two = build_report(f, 4, instance="x")
+    pooled = build_report(f, 4, instance="x")
     assert one.to_json() == two.to_json() == pooled.to_json()
     assert one.to_csv() == two.to_csv() == pooled.to_csv()
 
@@ -104,3 +104,18 @@ def test_unsat_input_rejected():
 def test_bad_kmax_rejected():
     with pytest.raises(ValueError):
         build_report(F([1]), 0)
+
+
+def test_iterative_order_matches_report_field():
+    checked = 0
+    for family, n, m in (("3cnf", 6, 24), ("krom", 7, 9)):
+        for seed in range(30):
+            f = random_formula(family, n, m, seed)
+            if solve(f) is None:
+                continue
+            for r in build_report(f, 3).records:
+                if r.is_backbone:
+                    checked += 1
+                    alone = iterative_order(f, r.variable, 3)
+                    assert alone == r.iterative_order, (family, seed, r.variable)
+    assert checked >= 100

@@ -6,7 +6,6 @@ from conftest import F, tt_backbones, tt_entails, tt_satisfiable
 from satbones import (
     UnsatFormulaError,
     entails,
-    enumerate_models,
     full_backbones,
     solve,
     unit_propagate,
@@ -140,9 +139,3 @@ def test_full_backbones_matches_enumeration_random():
         checked += 1
         assert full_backbones(f) == tt_backbones(f)
     assert checked >= 20
-
-
-def test_enumerate_models_guard():
-    f = F(*[[v] for v in range(1, 25)])
-    with pytest.raises(ValueError):
-        list(enumerate_models(f, max_vars=20))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -127,7 +129,16 @@ def test_fixpoint_is_scan_order_independent_when_satisfiable():
         for _ in range(3):
             order = sorted(f.literals)
             rng.shuffle(order)
-            shuffled = _level(f, 2, tuple(order))
+            shuffled = _level(f, 2, tuple(order), {})
             assert shuffled.forced == canonical.forced
             assert shuffled.residual == canonical.residual
     assert checked >= 20
+
+
+def test_level_reduce_keeps_no_reference_to_its_input():
+    f = random_formula("3cnf", 12, 40, 3)
+    ref = weakref.ref(f)
+    level_reduce(f, 2)
+    del f
+    gc.collect()
+    assert ref() is None

@@ -1,10 +1,9 @@
 """k-backbones, backbone order, and the iterative variants.
 
-The decision "is x forced by some subset of at most k clauses?" is answered
-by splitting the formula into its two reducts on x (disjoint variable
-copies) and searching the union for a small unsatisfiable subset: a witness
-inside the copy where ``-x`` was asserted certifies that the matching
-original clauses entail ``x``, and vice versa.
+Every forcing question is one test: a literal is forced by at most k clauses
+exactly when the reduct by its complement (which keeps clause ids) has an
+unsatisfiable subset of at most k clauses.  ``backbone_split``, the paper's
+reduction to small unsatisfiable subsets, is kept and tested, not searched.
 """
 
 from __future__ import annotations
@@ -24,6 +23,11 @@ class IterativeResult(NamedTuple):
     variables: frozenset[int]
 
 
+def _require_variable(formula: CnfFormula, var: int) -> None:
+    if var not in formula.variables:
+        raise ValueError(f"variable {var} not in formula")
+
+
 def backbone_split(
     formula: CnfFormula, var: int
 ) -> tuple[CnfFormula, dict[int, tuple[int, int]]]:
@@ -34,8 +38,7 @@ def backbone_split(
     The formula has an unsatisfiable subset of size <= k exactly when var is
     a k-backbone.
     """
-    if var not in formula.variables:
-        raise ValueError(f"variable {var} not in formula")
+    _require_variable(formula, var)
     offset = formula.max_var
     combined: dict[int, frozenset[int]] = {}
     origin: dict[int, tuple[int, int]] = {}
@@ -52,23 +55,14 @@ def backbone_split(
     return CnfFormula(combined), origin
 
 
-def _split_witness(
-    formula: CnfFormula, var: int, k: int, minimum: bool
+def _witness(
+    formula: CnfFormula, lit: int, k: int, minimum: bool = False
 ) -> Optional[WitnessSubset]:
-    """Search the backbone split of var and map a witness back to the
-    original clause ids, with the literal it certifies."""
-    split, origin = backbone_split(formula, var)
-    found = sus_search(split, k, minimum=minimum)
+    """At most k clauses entailing lit, as unsatisfiable in the -lit reduct."""
+    found = sus_search(formula.reduct((-lit,)), k, minimum=minimum)
     if found is None:
         return None
-    certified = {origin[cid][1] for cid in found.clause_ids}
-    # the split halves share no variables, so a connected witness stays in one
-    assert len(certified) == 1
-    return WitnessSubset(
-        frozenset(origin[cid][0] for cid in found.clause_ids),
-        kind="entails",
-        literal=certified.pop(),
-    )
+    return WitnessSubset(found.clause_ids, kind="entails", literal=lit)
 
 
 def is_k_backbone(
@@ -76,12 +70,15 @@ def is_k_backbone(
 ) -> tuple[bool, Optional[bool], Optional[WitnessSubset]]:
     """Decide whether var is forced by some subset of at most k clauses.
 
-    Returns (verdict, forced polarity, witness over original clause ids).
+    Returns (verdict, forced polarity, witness over original clause ids),
+    trying the negative polarity first.
     """
-    witness = _split_witness(formula, var, k, minimum=False)
-    if witness is None:
-        return False, None, None
-    return True, witness.literal > 0, witness
+    _require_variable(formula, var)
+    for lit in (-var, var):
+        witness = _witness(formula, lit, k)
+        if witness is not None:
+            return True, lit > 0, witness
+    return False, None, None
 
 
 def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
@@ -93,25 +90,35 @@ def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
 def order_with_witness(
     formula: CnfFormula, var: int, kmax: int
 ) -> tuple[Optional[int], Optional[bool], Optional[WitnessSubset]]:
-    """backbone_order plus the certifying minimum witness and polarity."""
+    """backbone_order plus the certifying minimum witness and polarity.
+
+    A tie in size goes to the negative polarity, so the positive one is
+    searched only below the size of the negative one's witness.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    witness = _split_witness(formula, var, kmax, minimum=True)
-    if witness is None:
+    _require_variable(formula, var)
+    negative = _witness(formula, -var, kmax, minimum=True)
+    bound = kmax if negative is None else len(negative.clause_ids) - 1
+    positive = _witness(formula, var, bound, minimum=True) if bound else None
+    best = negative if positive is None else positive
+    if best is None:
         return None, None, None
-    return len(witness.clause_ids), witness.literal > 0, witness
+    return len(best.clause_ids), best.literal > 0, best
+
+
+def _forced_literals(formula: CnfFormula, k: int) -> list[int]:
+    """Literals forced by at most k clauses, in scan order."""
+    scan = literal_order(formula.literals)
+    return [lit for lit in scan if _witness(formula, lit, k) is not None]
 
 
 def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
-    """All k-backbone variables with the polarity their witnesses certify."""
+    """All k-backbone variables with the polarity their witnesses certify
+    (the negative one, scanned last, if both are forced)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    result: dict[int, bool] = {}
-    for v in sorted(formula.variables):
-        verdict, polarity, _ = is_k_backbone(formula, v, k)
-        if verdict:
-            result[v] = polarity
-    return result
+    return {abs(lit): lit > 0 for lit in _forced_literals(formula, k)}
 
 
 def force_fixpoint(
@@ -155,14 +162,7 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return force_fixpoint(
-        formula,
-        lambda current: [
-            lit
-            for lit in literal_order(current.literals)
-            if sus_search(current.reduct((-lit,)), k) is not None
-        ],
-    )
+    return force_fixpoint(formula, lambda current: _forced_literals(current, k))
 
 
 def iterative_orders(
@@ -184,8 +184,7 @@ def iterative_orders(
 
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
     """Smallest k <= kmax at which var joins the iterative k-backbones."""
-    if var not in formula.variables:
-        raise ValueError(f"variable {var} not in formula")
+    _require_variable(formula, var)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     return iterative_orders(formula, (var,), kmax).get(var)

@@ -24,7 +24,13 @@ class Propagation(NamedTuple):
     conflict: bool
 
 
-def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
+def _propagate(
+    clauses: list[frozenset[int]],
+) -> Optional[tuple[list[frozenset[int]], Assignment]]:
+    """Assert the first unit clause, again and again, until none is left.
+
+    Returns None on an empty clause, else the remaining clauses and the
+    units asserted."""
     assign: Assignment = {}
     while True:
         unit = 0
@@ -35,23 +41,41 @@ def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
                 (unit,) = c
                 break
         if not unit:
-            break
+            return clauses, assign
         assign[abs(unit)] = unit > 0
         clauses = [
             c - {-unit} if -unit in c else c for c in clauses if unit not in c
         ]
-    if not clauses:
-        return assign
-    v = min(min(abs(l) for l in c) for c in clauses)
-    for lit in (v, -v):
-        sub = _dpll(
+
+
+def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
+    """Depth-first splitting on the lowest variable, positive polarity first,
+    with unit propagation at every node.  Open branches live on an explicit
+    stack, so no input can reach the recursion limit."""
+    path: list[tuple[Assignment, int]] = []  # (units, branch literal) per level
+    branches: list[tuple[list[frozenset[int]], Assignment, int, int]] = []
+    node = _propagate(clauses)
+    while True:
+        if node is not None:
+            clauses, assign = node
+            if not clauses:
+                model = dict(assign)
+                for units, lit in reversed(path):
+                    model.update(units)
+                    model[abs(lit)] = lit > 0
+                return model
+            v = min(min(abs(l) for l in c) for c in clauses)
+            depth = len(path)
+            branches.append((clauses, assign, -v, depth))
+            branches.append((clauses, assign, v, depth))
+        if not branches:
+            return None
+        clauses, assign, lit, depth = branches.pop()
+        del path[depth:]
+        path.append((assign, lit))
+        node = _propagate(
             [c - {-lit} if -lit in c else c for c in clauses if lit not in c]
         )
-        if sub is not None:
-            sub.update(assign)
-            sub[v] = lit > 0
-            return sub
-    return None
 
 
 def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:

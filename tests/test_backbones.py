@@ -57,6 +57,11 @@ def test_is_k_backbone_unknown_variable():
         is_k_backbone(F([1]), 9, 1)
 
 
+def test_backbone_order_unknown_variable():
+    with pytest.raises(ValueError):
+        backbone_order(F([1]), 9, 3)
+
+
 def test_backbone_split_unit_formula():
     split, origin = backbone_split(F([1]), 1)
     assert split.has_empty_clause()

@@ -10,6 +10,8 @@ from satbones import (
     solve,
     unit_propagate,
 )
+from satbones.cli import main
+from satbones.dimacs import emit_dimacs
 from satbones.generators import implication_cycle, random_formula
 
 
@@ -32,6 +34,16 @@ def test_solve_model_is_total_and_satisfying():
     model = solve(f)
     assert set(model) == f.variables
     assert f.satisfied_by(model)
+
+
+def test_solve_deep_branching_has_no_recursion_limit(tmp_path, capsys):
+    # 1500 disjoint binary clauses need 1500 nested branching decisions
+    f = F(*[[2 * i - 1, 2 * i] for i in range(1, 1501)])
+    model = solve(f)
+    assert model is not None and f.satisfied_by(model)
+    path = tmp_path / "disjoint.cnf"
+    path.write_text(emit_dimacs(f))
+    assert main(["solve", str(path)]) == 0
 
 
 def test_solve_agrees_with_truth_table_small():

@@ -3,7 +3,7 @@
 Subcommands: classify, solve, backbones, sus, local, iterative, uc,
 generate, report.  Exit codes: 0 ok / answer yes, 1 answer no (decision
 subcommands), 2 input error, 3 unsatisfiable input where satisfiability is
-required.
+required, 4 internal error (never an answer).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .backbones import (
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_UNSAT = 3
+EXIT_INTERNAL = 4
 
 
 def _read_formula(args) -> CnfFormula:
@@ -309,6 +311,10 @@ def main(argv=None) -> int:
     except (InfeasibleParameters, FormulaClassError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

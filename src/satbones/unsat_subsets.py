@@ -4,9 +4,10 @@ Three routes with identical verdicts:
 
 * ``sus_bruteforce`` -- reference oracle, plain enumeration by subset size;
 * ``sus_search`` -- bounded search over connected sub-formulas of the
-  incidence graph, restricted to clauses shorter than k (a subset-minimal
-  unsatisfiable formula has more clauses than variables, so none of its
-  clauses can reach size k);
+  incidence graph with fewer variables than the clause budget (a
+  subset-minimal unsatisfiable formula has more clauses than variables, and
+  so has every subset on the search's path to it), hence restricted to
+  clauses shorter than k;
 * ``sus_vo_search`` -- branching search for bounded-occurrence formulas that
   grows a candidate set one variable at a time.
 
@@ -82,9 +83,13 @@ def sus_search(
     """Bounded search for an unsatisfiable subset of at most k clauses.
 
     Enumerates connected sub-formulas of the incidence graph, each exactly
-    once (from the seed with the smallest clause id).  With ``minimum=True``
-    the subset size is iteratively deepened, so the returned witness has
-    minimum cardinality; otherwise the first witness found is returned.
+    once (from the seed with the smallest clause id), skipping every one
+    with at least as many variables as the clause budget (the target size,
+    else k).
+    With ``minimum=True`` the subset size is iteratively deepened, so the
+    returned witness has minimum cardinality and is the first one the
+    unbounded enumeration would find; otherwise the first witness found is
+    returned, and it has at most k - 1 variables.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -95,16 +100,17 @@ def sus_search(
     if solve_sets(star.values()) is not None:
         return None
     neighbors = _neighbors(star)
+    variables = {cid: frozenset(abs(l) for l in c) for cid, c in star.items()}
 
     def extend(
-        sub: list[int], banned: set[int], seed: int, target: Optional[int]
+        sub: list[int], used: frozenset[int], banned: set[int], seed: int,
+        target: Optional[int],
     ) -> Optional[frozenset[int]]:
         if target is None or len(sub) == target:
             if _is_unsat([star[i] for i in sub]):
                 return frozenset(sub)
-            if target is not None:
-                return None
-        if len(sub) == (target if target is not None else k):
+        size = target or k
+        if len(sub) == size:
             return None
         frontier = set()
         for member in sub:
@@ -114,24 +120,22 @@ def sus_search(
         )
         blocked = set(banned)
         for x in candidates:
-            found = extend(sub + [x], blocked, seed, target)
-            if found is not None:
-                return found
+            grown = used | variables[x]
+            if len(grown) < size:  # else every superset breaks the bound too
+                found = extend(sub + [x], grown, blocked, seed, target)
+                if found is not None:
+                    return found
             blocked.add(x)
         return None
 
     seeds = sorted(star)
-    if minimum:
-        for target in range(1, min(k, len(star)) + 1):
-            for seed in seeds:
-                found = extend([seed], set(), seed, target)
+    targets = range(1, min(k, len(star)) + 1) if minimum else (None,)
+    for target in targets:
+        for seed in seeds:
+            if len(variables[seed]) < (target or k):
+                found = extend([seed], variables[seed], set(), seed, target)
                 if found is not None:
                     return WitnessSubset(found)
-        return None
-    for seed in seeds:
-        found = extend([seed], set(), seed, None)
-        if found is not None:
-            return WitnessSubset(found)
     return None
 
 

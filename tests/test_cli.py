@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from satbones import unit_propagate
+from satbones import cli, unit_propagate
 from satbones.cli import main
 from satbones.dimacs import parse_dimacs
 
@@ -61,6 +61,18 @@ def test_solve_exit_codes(chain_file, unsat_file, capsys):
     assert main(["solve", chain_file]) == 0
     assert "SATISFIABLE" in capsys.readouterr().out
     assert main(["solve", unsat_file]) == 1
+
+
+def test_unexpected_exception_exits_with_internal_code(
+    chain_file, capsys, monkeypatch
+):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", crash)
+    assert main(["solve", chain_file]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "internal error: RuntimeError('boom')"
 
 
 def test_backbones_output(chain_file, unsat_file, capsys):

@@ -1,14 +1,17 @@
-"""Property tests for the per-literal forcing test on small random formulas.
+"""Property tests for the forcing test and the subset search on small
+random formulas.
 
-The reference is the paper's reduction: search the two-reduct split of the
-variable and map the witness back through the origin map.  Examples are
-derandomized and no example database is kept, so runs are repeatable.
+The forcing test's reference is the paper's reduction: search the two-reduct
+split of the variable and map the witness back through the origin map.  The
+subset search's reference is the same enumeration without the variable
+bound.  Examples are derandomized and no example database is kept, so runs
+are repeatable.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import F, brute_k_backbone, tt_satisfiable
+from conftest import F, brute_k_backbone, brute_unsat_subset, tt_satisfiable
 from satbones import (
     backbone_split,
     is_k_backbone,
@@ -16,6 +19,8 @@ from satbones import (
     sus_search,
 )
 from satbones.backbones import order_with_witness
+from satbones.solver import solve_sets
+from satbones.unsat_subsets import _neighbors, _short_clauses
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -92,3 +97,71 @@ def test_local_backbones_collect_accepted_variables(f, k):
         if verdict:
             expected[v] = polarity
     assert local_backbones(f, k) == expected
+
+
+def unpruned_minimum_search(formula, k):
+    """sus_search(minimum=True) without the variable bound: every connected
+    subset of short clauses, in the same order; clause ids or None."""
+    star = _short_clauses(formula, k)
+    for cid, c in star.items():
+        if not c:
+            return frozenset((cid,))
+    if solve_sets(star.values()) is not None:
+        return None
+    neighbors = _neighbors(star)
+
+    def extend(sub, banned, seed, target):
+        if target is None or len(sub) == target:
+            if solve_sets([star[i] for i in sub]) is None:
+                return frozenset(sub)
+            if target is not None:
+                return None
+        if len(sub) == (target if target is not None else k):
+            return None
+        frontier = set()
+        for member in sub:
+            frontier.update(neighbors[member])
+        candidates = sorted(
+            x for x in frontier if x > seed and x not in banned and x not in sub
+        )
+        blocked = set(banned)
+        for x in candidates:
+            found = extend(sub + [x], blocked, seed, target)
+            if found is not None:
+                return found
+            blocked.add(x)
+        return None
+
+    for target in range(1, min(k, len(star)) + 1):
+        for seed in sorted(star):
+            found = extend([seed], set(), seed, target)
+            if found is not None:
+                return found
+    return None
+
+
+@SETTINGS
+@given(formulas(), st.integers(1, 4))
+@example(F([1, 2], [], [-1]), 2)
+@example(F([1, 2], [-1, 2], [1, -2], [-1, -2]), 4)
+def test_minimum_search_matches_unpruned_enumeration(f, k):
+    witness = sus_search(f, k, minimum=True)
+    found = None if witness is None else witness.clause_ids
+    assert found == unpruned_minimum_search(f, k)
+    expected = brute_unsat_subset(f, k)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert len(found) == len(expected)
+
+
+@SETTINGS
+@given(formulas(), st.integers(1, 4))
+@example(F([2, 4, -1], [3, -1], [-1], [1]), 4)
+def test_search_witness_is_small_and_unsatisfiable(f, k):
+    witness = sus_search(f, k)
+    assert (witness is None) == (brute_unsat_subset(f, k) is None)
+    if witness is not None:
+        sub = f.subset(witness.clause_ids)
+        assert not tt_satisfiable(sub)
+        assert len(sub) <= k
+        assert len(sub.variables) <= k - 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,14 @@ import pytest
 from conftest import F, brute_unsat_subset, tt_satisfiable
 from satbones import (
     WitnessSubset,
+    full_backbones,
     minimize_witness,
     sus_bruteforce,
     sus_search,
     sus_vo_search,
+    unsat_subsets,
 )
+from satbones.backbones import order_with_witness
 from satbones.generators import random_formula
 
 
@@ -181,3 +185,36 @@ def test_minimized_witnesses_satisfy_clause_variable_inequality():
         assert len(sub) > len(sub.variables)
         assert not tt_satisfiable(sub)
     assert seen >= 10
+
+
+SAT_CALL_CAP = 10_000
+
+
+@pytest.fixture
+def capped_sat_calls(monkeypatch):
+    """Fail the test once the subset searches pass SAT_CALL_CAP SAT calls."""
+    calls = itertools.count(1)
+    solve = unsat_subsets.solve_sets
+
+    def counted(clause_sets):
+        if next(calls) > SAT_CALL_CAP:
+            raise AssertionError(f"more than {SAT_CALL_CAP} SAT calls")
+        return solve(clause_sets)
+
+    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
+
+
+def test_deficiency_bound_keeps_minimum_search_small(capped_sat_calls):
+    # variable 2 is a negative backbone of f: search the reduct by +2, where
+    # every 3-clause is a candidate at k=4 unless the variable bound prunes it
+    f = random_formula("3cnf", 30, 125, 2)
+    assert full_backbones(f)[2] is False
+    assert sus_search(f.reduct((2,)), 4, minimum=True) is None
+
+
+def test_deficiency_bound_keeps_order_at_kmax_5_small(capped_sat_calls):
+    f = random_formula("3cnf", 12, 50, 1)
+    backbones = full_backbones(f)
+    assert len(backbones) == 11
+    for v in sorted(backbones):
+        assert order_with_witness(f, v, 5) == (None, None, None)

@@ -4,11 +4,12 @@ Every forcing question is one test: a literal is forced by at most k clauses
 exactly when the reduct by its complement (which keeps clause ids) has an
 unsatisfiable subset of at most k clauses.  ``backbone_split``, the paper's
 reduction to small unsatisfiable subsets, is kept and tested, not searched.
+``backbone_orders`` gives the report both orders from one search per backbone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .formula import CnfFormula, literal_order
 from .unsat_subsets import WitnessSubset, sus_search
@@ -165,26 +166,46 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     return force_fixpoint(formula, lambda current: _forced_literals(current, k))
 
 
-def iterative_orders(
-    formula: CnfFormula, variables: Sequence[int], kmax: int
-) -> dict[int, int]:
-    """Smallest k <= kmax at which each variable joins the iterative
-    k-backbones; variables beyond kmax are left out.  Stops at the first k
-    that has placed every variable."""
-    orders: dict[int, int] = {}
-    for k in range(1, kmax + 1):
-        found = iterative_k_backbones(formula, k).variables
-        for v in variables:
-            if v in found and v not in orders:
-                orders[v] = k
-        if all(v in orders for v in variables):
-            break
-    return orders
-
-
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
     """Smallest k <= kmax at which var joins the iterative k-backbones."""
     _require_variable(formula, var)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return iterative_orders(formula, (var,), kmax).get(var)
+    for k in range(1, kmax + 1):
+        if var in iterative_k_backbones(formula, k).variables:
+            return k
+    return None
+
+
+def backbone_orders(
+    formula: CnfFormula, backbone: Mapping[int, bool], kmax: int
+) -> tuple[dict[int, Optional[WitnessSubset]], dict[int, int]]:
+    """Minimum witness and iterative order of each backbone, up to kmax
+    (None and no entry beyond it).
+
+    ``backbone`` is the full backbone of a satisfiable formula.  No subset
+    entails its other polarity, so one minimum search per backbone literal
+    gives ``order_with_witness``'s witness.  Each unplaced literal keeps its
+    order in the residual, which only shrinks as entailed literals are
+    asserted: at each k the literals of order <= k are asserted together and
+    the rest searched again below their order, which reaches the fixpoint of
+    ``iterative_k_backbones`` from the (k-1) residual.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    literal = {v: v if backbone[v] else -v for v in sorted(backbone)}
+    witness = {v: _witness(formula, l, kmax, minimum=True) for v, l in literal.items()}
+    order = {v: len(w.clause_ids) if w else kmax + 1 for v, w in witness.items()}
+    iterative: dict[int, int] = {}
+    current = formula
+    for k in range(1, kmax + 1):
+        while ready := [v for v in order if order[v] <= k]:
+            for v in ready:
+                iterative[v] = k
+                del order[v]
+            current = current.reduct(literal[v] for v in ready)
+            for v in order:
+                found = _witness(current, literal[v], order[v] - 1, minimum=True)
+                if found is not None:
+                    order[v] = len(found.clause_ids)
+    return witness, iterative

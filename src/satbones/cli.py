@@ -17,6 +17,7 @@ from typing import Optional
 
 from .backbones import (
     UnsatDetected,
+    _require_variable,
     is_k_backbone,
     iterative_k_backbones,
     local_backbones,
@@ -137,6 +138,8 @@ def cmd_local(args) -> int:
 
 def cmd_iterative(args) -> int:
     formula = _read_formula(args)
+    if args.var is not None:
+        _require_variable(formula, args.var)
     result = iterative_k_backbones(formula, args.k)
     if args.var is not None:
         if args.var in result.variables:

@@ -2,9 +2,12 @@
 
 For a satisfiable instance: the full backbone set, the exact order and
 iterative order of each backbone up to a cutoff, and the two cumulative
-percentage curves over k.  Orders beyond the cutoff are reported as
-">kmax" rather than approximated.  Output is deterministic: identical input
-and flags produce byte-identical JSON and CSV.
+percentage curves over k.  Both orders come from ``backbone_orders``: one
+search per backbone in its own polarity, whose orders seed the iterative
+fixpoint, so only unplaced backbones are searched again, below their order.
+Orders beyond the cutoff are reported as ">kmax" rather than approximated.
+Output is deterministic: identical input and flags produce byte-identical
+JSON and CSV.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .backbones import iterative_orders, order_with_witness
+from .backbones import backbone_orders
 from .formula import CnfFormula
 from .solver import full_backbones
 
@@ -121,20 +124,18 @@ def build_report(
         raise ValueError("kmax must be >= 1")
     backbone = full_backbones(formula)
     variables = sorted(formula.variables)
-    backbone_vars = [v for v in variables if v in backbone]
-    order_of = {v: order_with_witness(formula, v, kmax) for v in backbone_vars}
-    iter_order = iterative_orders(formula, backbone_vars, kmax)
+    witness_of, iter_order = backbone_orders(formula, backbone, kmax)
 
     records = []
     for v in variables:
         if v in backbone:
-            order, _, witness = order_of[v]
+            witness = witness_of[v]
             records.append(
                 BackboneRecord(
                     variable=v,
                     is_backbone=True,
                     polarity=backbone[v],
-                    order=order,
+                    order=len(witness.clause_ids) if witness else None,
                     iterative_order=iter_order.get(v),
                     witness_ids=witness.sorted_ids() if witness else None,
                 )
@@ -147,7 +148,7 @@ def build_report(
         n_clauses=len(formula),
         length=formula.length,
         kmax=kmax,
-        backbone_count=len(backbone_vars),
+        backbone_count=len(backbone),
         records=tuple(records),
         variable_names=tuple(
             (v, formula.var_names[v])

@@ -1,4 +1,4 @@
-"""Shared helpers: formula shorthand and brute-force oracles.
+"""Shared helpers: formula shorthand, brute-force oracles and a SAT-call cap.
 
 The truth-table oracles here deliberately avoid the package's solver so that
 solver tests check against something independent.
@@ -8,7 +8,25 @@ from __future__ import annotations
 
 import itertools
 
-from satbones import CnfFormula
+import pytest
+
+from satbones import CnfFormula, unsat_subsets
+
+SAT_CALL_CAP = 10_000
+
+
+@pytest.fixture
+def capped_sat_calls(monkeypatch):
+    """Fail the test once the subset searches pass SAT_CALL_CAP SAT calls."""
+    calls = itertools.count(1)
+    solve = unsat_subsets.solve_sets
+
+    def counted(clause_sets):
+        if next(calls) > SAT_CALL_CAP:
+            raise AssertionError(f"more than {SAT_CALL_CAP} SAT calls")
+        return solve(clause_sets)
+
+    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
 
 
 def F(*clauses) -> CnfFormula:

@@ -108,6 +108,13 @@ def test_iterative_matches_unit_propagation(chain_file, capsys):
     assert tuple(printed) == unit_propagate(parse_dimacs(CHAIN)).forced
 
 
+@pytest.mark.parametrize("command", ["local", "iterative"])
+@pytest.mark.parametrize("var", ["9", "-2"])
+def test_var_outside_formula_is_input_error(chain_file, command, var, capsys):
+    assert main([command, chain_file, "-k", "1", "--var", var]) == 2
+    assert f"variable {var} not in formula" in capsys.readouterr().err
+
+
 def test_iterative_unsat_exit(unsat_file):
     assert main(["iterative", unsat_file, "-k", "1"]) == 3
 

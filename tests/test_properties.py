@@ -4,7 +4,8 @@ random formulas.
 The forcing test's reference is the paper's reduction: search the two-reduct
 split of the variable and map the witness back through the origin map.  The
 subset search's reference is the same enumeration without the variable
-bound.  Examples are derandomized and no example database is kept, so runs
+bound.  The report's order phase is checked against the per-variable
+functions it replaces.  Examples are derandomized and no example database is kept, so runs
 are repeatable.
 """
 
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 from conftest import F, brute_k_backbone, brute_unsat_subset, tt_satisfiable
 from satbones import (
     backbone_split,
+    full_backbones,
     is_k_backbone,
+    iterative_k_backbones,
     local_backbones,
     sus_search,
 )
-from satbones.backbones import order_with_witness
+from satbones.backbones import backbone_orders, order_with_witness
+from satbones.generators import random_formula
 from satbones.solver import solve_sets
 from satbones.unsat_subsets import _neighbors, _short_clauses
 
@@ -97,6 +101,31 @@ def test_local_backbones_collect_accepted_variables(f, k):
         if verdict:
             expected[v] = polarity
     assert local_backbones(f, k) == expected
+
+
+@SETTINGS
+@given(formulas(), st.integers(1, 5))
+@example(random_formula("3cnf", 8, 30, 14), 5)
+def test_backbone_orders_match_per_variable_references(f, kmax):
+    if not tt_satisfiable(f):
+        return
+    backbone = full_backbones(f)
+    witnesses, iterative = backbone_orders(f, backbone, kmax)
+    assert witnesses == {
+        v: order_with_witness(f, v, kmax)[2] for v in sorted(backbone)
+    }
+    expected = {}
+    for k in range(1, kmax + 1):
+        for v in sorted(iterative_k_backbones(f, k).variables):
+            expected.setdefault(v, k)
+    assert iterative == expected
+
+
+def test_iterative_orders_can_beat_orders_beyond_kmax():
+    f = random_formula("3cnf", 8, 30, 14)
+    witnesses, iterative = backbone_orders(f, full_backbones(f), 5)
+    assert witnesses[6] is None and witnesses[3] is None
+    assert iterative[6] == 4 and iterative[3] == 5
 
 
 def unpruned_minimum_search(formula, k):

@@ -119,3 +119,13 @@ def test_iterative_order_matches_report_field():
                     alone = iterative_order(f, r.variable, 3)
                     assert alone == r.iterative_order, (family, seed, r.variable)
     assert checked >= 100
+
+
+def test_report_reuses_its_order_phase(capped_sat_calls):
+    # none of the 27 backbones has order <= 5, so every order search is an
+    # exhaustive proof of absence; searching both polarities and every
+    # iterative round again from scratch took 14,998 SAT calls
+    report = build_report(random_formula("3cnf", 30, 125, 2), 5)
+    backbones = [r for r in report.records if r.is_backbone]
+    assert len(backbones) == 27
+    assert all(r.order is None and r.iterative_order is None for r in backbones)

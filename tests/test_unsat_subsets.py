@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -185,23 +184,6 @@ def test_minimized_witnesses_satisfy_clause_variable_inequality():
         assert len(sub) > len(sub.variables)
         assert not tt_satisfiable(sub)
     assert seen >= 10
-
-
-SAT_CALL_CAP = 10_000
-
-
-@pytest.fixture
-def capped_sat_calls(monkeypatch):
-    """Fail the test once the subset searches pass SAT_CALL_CAP SAT calls."""
-    calls = itertools.count(1)
-    solve = unsat_subsets.solve_sets
-
-    def counted(clause_sets):
-        if next(calls) > SAT_CALL_CAP:
-            raise AssertionError(f"more than {SAT_CALL_CAP} SAT calls")
-        return solve(clause_sets)
-
-    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
 
 
 def test_deficiency_bound_keeps_minimum_search_small(capped_sat_calls):

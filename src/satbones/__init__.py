@@ -21,12 +21,8 @@ from .formula import (
     TautologicalClauseError,
     classify,
 )
-from .horn import definite_horn_iterative_backbones, horn_consequences
-from .krom import (
-    ImplicationGraph,
-    krom_iterative_backbones,
-    krom_order_upper_bound,
-)
+from .horn import horn_consequences
+from .krom import ImplicationGraph, krom_iterative_backbones
 from .report import BackboneRecord, OrderDistribution, build_report
 from .solver import (
     Propagation,
@@ -42,7 +38,6 @@ from .unsat_subsets import (
     minimize_witness,
     sus_bruteforce,
     sus_search,
-    sus_vo_search,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +62,6 @@ __all__ = [
     "backbone_split",
     "build_report",
     "classify",
-    "definite_horn_iterative_backbones",
     "emit_dimacs",
     "entails",
     "forced_at_level",
@@ -77,7 +71,6 @@ __all__ = [
     "iterative_k_backbones",
     "iterative_order",
     "krom_iterative_backbones",
-    "krom_order_upper_bound",
     "level_reduce",
     "local_backbones",
     "minimize_witness",
@@ -85,6 +78,5 @@ __all__ = [
     "solve",
     "sus_bruteforce",
     "sus_search",
-    "sus_vo_search",
     "unit_propagate",
 ]

@@ -169,6 +169,10 @@ def cmd_uc(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.output:
+        sidecar_path = os.path.splitext(args.output)[0] + ".json"
+        if sidecar_path == args.output:
+            raise ValueError(f"{args.output} is also the JSON sidecar's path")
     if args.family == "cycle":
         formula = implication_cycle(args.n)
         planted = {
@@ -206,11 +210,10 @@ def cmd_generate(args) -> int:
         "params": params,
         "planted": planted,
     }
-    base, _ = os.path.splitext(args.output)
-    with open(base + ".json", "w") as handle:
+    with open(sidecar_path, "w") as handle:
         json.dump(sidecar, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {args.output} and {base}.json")
+    print(f"wrote {args.output} and {sidecar_path}")
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 For definite Horn formulas the iterative k-backbones are exactly the
 entailed variables, independent of k, so one linear forward-chaining pass
-replaces the generic oracle loop.
+computes them.  The report keeps the generic iterative fixpoint; this pass
+is its checked equivalent on the class.
 """
 
 from __future__ import annotations
@@ -43,11 +44,3 @@ def horn_consequences(formula: CnfFormula) -> frozenset[int]:
                 derived.add(head[cid])
                 queue.append(head[cid])
     return frozenset(derived)
-
-
-def definite_horn_iterative_backbones(formula: CnfFormula, k: int) -> frozenset[int]:
-    """Iterative k-backbones of a definite Horn formula: the entailed
-    variables, whatever k is."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return horn_consequences(formula)

@@ -90,22 +90,3 @@ def krom_iterative_backbones(formula: CnfFormula, k: int) -> IterativeResult:
         ]
 
     return force_fixpoint(formula, forced_in)
-
-
-def krom_order_upper_bound(formula: CnfFormula, var: int) -> Optional[int]:
-    """Edge count of a shortest complement-to-literal path, either polarity.
-
-    A path of e edges uses at most e distinct clauses, each such clause set
-    entailing the path's endpoint, so this bounds the backbone order of var
-    from above.  None when neither polarity is reachable.
-    """
-    if not classify(formula).is_krom:
-        raise FormulaClassError("formula is not Krom")
-    graph = ImplicationGraph(formula)
-    bound = 2 * len(formula.variables) + 1  # no simple path is longer
-    best = None
-    for lit in (var, -var):
-        dist = graph.distance(-lit, lit, bound)
-        if dist is not None and (best is None or dist < best):
-            best = dist
-    return best

@@ -1,17 +1,15 @@
 """Finding small unsatisfiable subsets of CNF formulas.
 
-Three routes with identical verdicts:
+Two routes with identical verdicts:
 
 * ``sus_bruteforce`` -- reference oracle, plain enumeration by subset size;
 * ``sus_search`` -- bounded search over connected sub-formulas of the
   incidence graph with fewer variables than the clause budget (a
   subset-minimal unsatisfiable formula has more clauses than variables, and
   so has every subset on the search's path to it), hence restricted to
-  clauses shorter than k;
-* ``sus_vo_search`` -- branching search for bounded-occurrence formulas that
-  grows a candidate set one variable at a time.
+  clauses shorter than k.
 
-All searches are deterministic: seeds in ascending clause-id order,
+Both are deterministic: seeds in ascending clause-id order,
 extensions in ascending id order.
 """
 
@@ -90,6 +88,12 @@ def sus_search(
     returned witness has minimum cardinality and is the first one the
     unbounded enumeration would find; otherwise the first witness found is
     returned, and it has at most k - 1 variables.
+
+    Bounded occurrence needs no route of its own: when every variable occurs
+    in at most d clauses, a clause shorter than k has fewer than k*d
+    neighbours, so the connected subsets of at most k clauses through each
+    seed number at most a function of k and d, and this enumeration is
+    already fixed-parameter tractable in k + d.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -136,65 +140,6 @@ def sus_search(
                 found = extend([seed], variables[seed], set(), seed, target)
                 if found is not None:
                     return WitnessSubset(found)
-    return None
-
-
-def sus_vo_search(formula: CnfFormula, k: int, d: int) -> Optional[WitnessSubset]:
-    """Branching search for formulas whose variables occur at most d times.
-
-    From each seed clause, grow a candidate set: pick the lowest unmarked
-    variable of the current set, branch over every subset of the other short
-    clauses through that variable (the empty subset simulates skipping it),
-    mark the variable, and test satisfiability at every step.  Branches die
-    when they exceed k clauses or run out of unmarked variables while
-    satisfiable.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    occurrence: dict[int, int] = {}
-    for _, c in formula.clauses():
-        for l in c:
-            occurrence[abs(l)] = occurrence.get(abs(l), 0) + 1
-    offending = [v for v, n in occurrence.items() if n > d]
-    if offending:
-        raise ValueError(
-            f"variable {min(offending)} occurs more than {d} times"
-        )
-    star = _short_clauses(formula, k)
-    if solve_sets(star.values()) is not None:
-        return None
-    by_var: dict[int, list[int]] = {}
-    for cid, c in star.items():
-        for l in c:
-            by_var.setdefault(abs(l), []).append(cid)
-
-    def branch(sub: frozenset[int], marked: frozenset[int]) -> Optional[frozenset[int]]:
-        if len(sub) > k:
-            return None
-        if _is_unsat([star[i] for i in sub]):
-            return sub
-        unmarked = sorted(
-            v
-            for v in {abs(l) for i in sub for l in star[i]}
-            if v not in marked
-        )
-        if not unmarked:
-            return None
-        z = unmarked[0]
-        through_z = sorted(set(by_var.get(z, ())) - sub)
-        for bits in range(1 << len(through_z)):
-            extra = frozenset(
-                through_z[i] for i in range(len(through_z)) if bits >> i & 1
-            )
-            found = branch(sub | extra, marked | {z})
-            if found is not None:
-                return found
-        return None
-
-    for seed in sorted(star):
-        found = branch(frozenset((seed,)), frozenset())
-        if found is not None:
-            return WitnessSubset(found)
     return None
 
 

@@ -22,7 +22,6 @@ from satbones import (
     backbone_split,
     build_report,
     classify,
-    definite_horn_iterative_backbones,
     forced_at_level,
     full_backbones,
     horn_consequences,
@@ -36,7 +35,6 @@ from satbones import (
     solve,
     sus_bruteforce,
     sus_search,
-    sus_vo_search,
     unit_propagate,
 )
 from satbones.generators import (
@@ -82,10 +80,8 @@ def test_criterion_01_sus_oracle_equivalence():
         k = i % 5 + 1
         expected = sus_bruteforce(formula, k)
         searched = sus_search(formula, k)
-        bounded = sus_vo_search(formula, k, classify(formula).max_occurrence)
         assert (searched is None) == (expected is None), (i, k)
-        assert (bounded is None) == (expected is None), (i, k)
-        for witness in (expected, searched, bounded):
+        for witness in (expected, searched):
             if witness is not None:
                 assert len(witness.clause_ids) <= k
                 assert not tt_satisfiable(formula.subset(witness.clause_ids))
@@ -94,7 +90,7 @@ def test_criterion_01_sus_oracle_equivalence():
     elapsed = time.perf_counter() - start
     assert agreements == 200
     assert elapsed < 60.0
-    _passed(1, f"200/200 verdict agreements across all three searches "
+    _passed(1, f"200/200 verdict agreements between both searches "
                f"in {elapsed:.1f}s (< 60s)")
 
 
@@ -152,7 +148,6 @@ def test_criterion_04_definite_horn_collapse():
         formula = random_formula("definite_horn", 8, 9, 20_000 + seed)
         entailed = horn_consequences(formula)
         for k in (1, 2, 5):
-            assert definite_horn_iterative_backbones(formula, k) == entailed
             assert iterative_k_backbones(formula, k).variables == entailed
     for seed in range(200):
         formula = random_formula(

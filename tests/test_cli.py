@@ -152,6 +152,15 @@ def test_generate_cycle_sidecar_records_planted_answer(tmp_path):
     }
 
 
+def test_generate_refuses_output_that_is_its_own_sidecar(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    code = main(["generate", "--family", "krom", "-n", "5", "-m", "4",
+                 "-o", str(target)])
+    assert code == 2
+    assert "sidecar" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.cnf", tmp_path / "b.cnf"
     main(["generate", "--family", "3cnf", "-n", "8", "-m", "12", "--seed", "1", "-o", str(a)])

@@ -3,7 +3,6 @@ import pytest
 from conftest import F, tt_entails
 from satbones import (
     FormulaClassError,
-    definite_horn_iterative_backbones,
     entails,
     full_backbones,
     horn_consequences,
@@ -38,21 +37,21 @@ def test_class_violation_rejected():
     with pytest.raises(FormulaClassError):
         horn_consequences(F([1, 2]))
     with pytest.raises(FormulaClassError):
-        definite_horn_iterative_backbones(F([-1, -2]), 2)
+        horn_consequences(F([-1, -2]))
 
 
 def test_iterative_backbones_do_not_depend_on_k():
     for seed in range(30):
         f = random_formula("definite_horn", 6, 8, seed)
-        assert definite_horn_iterative_backbones(
-            f, 1
-        ) == definite_horn_iterative_backbones(f, 7)
+        entailed = horn_consequences(f)
+        assert iterative_k_backbones(f, 1).variables == entailed
+        assert iterative_k_backbones(f, 7).variables == entailed
 
 
 def test_iterative_backbones_match_generic_algorithm():
     for seed in range(50):
         f = random_formula("definite_horn", 6, 8, seed)
-        expected = definite_horn_iterative_backbones(f, 2)
+        expected = horn_consequences(f)
         assert iterative_k_backbones(f, 2).variables == expected
 
 

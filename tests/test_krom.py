@@ -5,10 +5,8 @@ from satbones import (
     FormulaClassError,
     ImplicationGraph,
     UnsatDetected,
-    backbone_order,
     iterative_k_backbones,
     krom_iterative_backbones,
-    krom_order_upper_bound,
     solve,
 )
 from satbones.generators import random_formula
@@ -88,18 +86,3 @@ def test_iterative_matches_generic_algorithm():
             assert krom.variables == generic.variables, (seed, k)
             assert frozenset(krom.forced) == frozenset(generic.forced), (seed, k)
     assert compared >= 40
-
-
-def test_order_bound_examples():
-    assert krom_order_upper_bound(F([1, 2], [1, -2]), 1) == 2
-    assert krom_order_upper_bound(F([1, 2]), 1) is None
-
-
-def test_order_bound_dominates_exact_order():
-    for seed in range(50):
-        f = random_formula("krom", 7, 8, seed)
-        for v in sorted(f.variables):
-            bound = krom_order_upper_bound(f, v)
-            exact = backbone_order(f, v, len(f))
-            if bound is not None:
-                assert exact is not None and exact <= bound

@@ -9,7 +9,6 @@ from satbones import (
     minimize_witness,
     sus_bruteforce,
     sus_search,
-    sus_vo_search,
     unsat_subsets,
 )
 from satbones.backbones import order_with_witness
@@ -107,55 +106,51 @@ def test_witness_monotone_in_k():
 
 
 def test_vo_search_unit_pair():
-    w = sus_vo_search(F([1], [-1]), 2, 2)
-    assert w.clause_ids == {1, 2}
-
-
-def test_vo_search_rejects_occurrence_violation():
-    f = F([1, 2], [1, 3], [1, 4])
-    with pytest.raises(ValueError):
-        sus_vo_search(f, 2, 2)
+    for minimum in (False, True):
+        w = sus_search(F([1], [-1]), 2, minimum=minimum)
+        assert w.clause_ids == {1, 2}
 
 
 def test_vo_search_finds_witness_in_each_component():
     # two variable-disjoint contradictions
     f = F([1], [-1, 2], [-2], [3], [-3])
-    w = sus_vo_search(f, 3, 3)
-    assert w is not None
-    assert not tt_satisfiable(f.subset(w.clause_ids))
-    # restrict to the second component only: still found
-    g = f.subset([4, 5])
-    w2 = sus_vo_search(g, 3, 3)
-    assert w2.clause_ids == {4, 5}
+    for minimum in (False, True):
+        w = sus_search(f, 3, minimum=minimum)
+        assert w is not None
+        assert not tt_satisfiable(f.subset(w.clause_ids))
+        # restrict to the second component only: still found
+        g = f.subset([4, 5])
+        assert sus_search(g, 3, minimum=minimum).clause_ids == {4, 5}
 
 
 def test_vo_search_verdict_matches_bruteforce():
+    # the bounded-occurrence family needs no search of its own
     checked = 0
     for seed in range(120):
         f = random_formula("vo", 12, 7, seed, d=3)
         k = seed % 5 + 1
-        got = sus_vo_search(f, k, 3)
         expected = sus_bruteforce(f, k)
+        got = sus_search(f, k)
+        smallest = sus_search(f, k, minimum=True)
         assert (got is None) == (expected is None), (seed, k)
+        assert (smallest is None) == (expected is None), (seed, k)
         if got is not None:
             checked += 1
             assert len(got.clause_ids) <= k
+            assert len(smallest.clause_ids) == len(expected.clause_ids)
     # vo instances at these sizes are rarely unsatisfiable; make sure the
     # cross-check also exercised yes-instances via a seeded contradiction
     f = F([1], [-1, 2], [-2], [3, 4], [5, 6])
-    assert sus_vo_search(f, 3, 2).clause_ids == {1, 2, 3}
+    for minimum in (False, True):
+        assert sus_search(f, 3, minimum=minimum).clause_ids == {1, 2, 3}
 
 
 def test_planted_core_is_recovered_exactly():
     # noise shares variables with the core but the core is the only
     # unsatisfiable subset of size <= 3
     f = F([1], [-1, 2], [-2], [2, 3], [-3, 4], [1, 4])
-    for searcher in (
-        lambda: sus_search(f, 3),
-        lambda: sus_vo_search(f, 3, 4),
-    ):
-        w = searcher()
-        assert w.clause_ids == {1, 2, 3}
+    for minimum in (False, True):
+        assert sus_search(f, 3, minimum=minimum).clause_ids == {1, 2, 3}
 
 
 def test_minimize_shrinks():
@@ -200,3 +195,12 @@ def test_deficiency_bound_keeps_order_at_kmax_5_small(capped_sat_calls):
     assert len(backbones) == 11
     for v in sorted(backbones):
         assert order_with_witness(f, v, 5) == (None, None, None)
+
+
+def test_bounded_occurrence_search_stays_small(capped_sat_calls):
+    # the `wide` benchmark's vo family: the connected-subset enumeration is
+    # fixed-parameter tractable in k + d, so k=4 needs few SAT calls
+    for seed in range(6):
+        f = random_formula("vo", 20, 50, seed, d=8)
+        for minimum in (False, True):
+            sus_search(f, 4, minimum=minimum)

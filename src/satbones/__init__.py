@@ -35,7 +35,6 @@ from .solver import (
 from .unitref import LevelReduction, forced_at_level, level_reduce
 from .unsat_subsets import (
     WitnessSubset,
-    minimize_witness,
     sus_bruteforce,
     sus_search,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "krom_iterative_backbones",
     "level_reduce",
     "local_backbones",
-    "minimize_witness",
     "parse_dimacs",
     "solve",
     "sus_bruteforce",

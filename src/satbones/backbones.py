@@ -56,14 +56,13 @@ def backbone_split(
     return CnfFormula(combined), origin
 
 
-def _witness(
-    formula: CnfFormula, lit: int, k: int, minimum: bool = False
-) -> Optional[WitnessSubset]:
-    """At most k clauses entailing lit, as unsatisfiable in the -lit reduct."""
-    found = sus_search(formula.reduct((-lit,)), k, minimum=minimum)
+def _witness(formula: CnfFormula, lit: int, k: int) -> Optional[WitnessSubset]:
+    """Fewest clauses, at most k, entailing lit: the minimum unsatisfiable
+    subset of the -lit reduct."""
+    found = sus_search(formula.reduct((-lit,)), k)
     if found is None:
         return None
-    return WitnessSubset(found.clause_ids, kind="entails", literal=lit)
+    return WitnessSubset(found.clause_ids, literal=lit)
 
 
 def is_k_backbone(
@@ -72,7 +71,8 @@ def is_k_backbone(
     """Decide whether var is forced by some subset of at most k clauses.
 
     Returns (verdict, forced polarity, witness over original clause ids),
-    trying the negative polarity first.
+    trying the negative polarity first; the witness is a minimum one for the
+    polarity found.
     """
     _require_variable(formula, var)
     for lit in (-var, var):
@@ -99,9 +99,9 @@ def order_with_witness(
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     _require_variable(formula, var)
-    negative = _witness(formula, -var, kmax, minimum=True)
+    negative = _witness(formula, -var, kmax)
     bound = kmax if negative is None else len(negative.clause_ids) - 1
-    positive = _witness(formula, var, bound, minimum=True) if bound else None
+    positive = _witness(formula, var, bound) if bound else None
     best = negative if positive is None else positive
     if best is None:
         return None, None, None
@@ -194,7 +194,7 @@ def backbone_orders(
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     literal = {v: v if backbone[v] else -v for v in sorted(backbone)}
-    witness = {v: _witness(formula, l, kmax, minimum=True) for v, l in literal.items()}
+    witness = {v: _witness(formula, l, kmax) for v, l in literal.items()}
     order = {v: len(w.clause_ids) if w else kmax + 1 for v, w in witness.items()}
     iterative: dict[int, int] = {}
     current = formula
@@ -205,7 +205,7 @@ def backbone_orders(
                 del order[v]
             current = current.reduct(literal[v] for v in ready)
             for v in order:
-                found = _witness(current, literal[v], order[v] - 1, minimum=True)
+                found = _witness(current, literal[v], order[v] - 1)
                 if found is not None:
                     order[v] = len(found.clause_ids)
     return witness, iterative

@@ -106,7 +106,7 @@ def cmd_backbones(args) -> int:
 
 def cmd_sus(args) -> int:
     formula = _read_formula(args)
-    witness = sus_search(formula, args.k, minimum=args.minimum)
+    witness = sus_search(formula, args.k)
     if witness is None:
         print(f"no unsatisfiable subset of at most {args.k} clauses")
         return EXIT_NO
@@ -256,11 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.set_defaults(handler=cmd_backbones)
 
-    p = sub.add_parser("sus", help="small unsatisfiable subset")
+    p = sub.add_parser("sus", help="minimum unsatisfiable subset")
     add_input(p)
     p.add_argument("-k", "--k", type=int, required=True)
-    p.add_argument("--min", dest="minimum", action="store_true",
-                   help="minimum-cardinality witness")
     p.set_defaults(handler=cmd_sus)
 
     p = sub.add_parser("local", help="k-backbones")

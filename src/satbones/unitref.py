@@ -11,7 +11,7 @@ some families).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .formula import CnfFormula, literal_order
 
@@ -29,7 +29,6 @@ def _collapse(formula: CnfFormula) -> CnfFormula:
 def _level(
     formula: CnfFormula,
     k: int,
-    scan: Optional[tuple[int, ...]],
     memo: dict[tuple[CnfFormula, int], LevelReduction],
 ) -> LevelReduction:
     if k == 0:
@@ -43,13 +42,8 @@ def _level(
     progress = True
     while progress:
         progress = False
-        order = (
-            [l for l in scan if l in current.literals]
-            if scan
-            else literal_order(current.literals)
-        )
-        for lit in order:
-            if _level(current.reduct((-lit,)), k - 1, scan, memo).contradiction:
+        for lit in literal_order(current.literals):
+            if _level(current.reduct((-lit,)), k - 1, memo).contradiction:
                 forced.add(lit)
                 current = current.reduct((lit,))
                 progress = True
@@ -71,7 +65,7 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _level(formula, k, None, {})
+    return _level(formula, k, {})
 
 
 def forced_at_level(formula: CnfFormula, k: int) -> frozenset[int]:

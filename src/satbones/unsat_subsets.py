@@ -1,10 +1,10 @@
-"""Finding small unsatisfiable subsets of CNF formulas.
+"""Finding minimum unsatisfiable subsets of at most k clauses.
 
-Two routes with identical verdicts:
+Two routes that return witnesses of the same, minimum, size:
 
 * ``sus_bruteforce`` -- reference oracle, plain enumeration by subset size;
-* ``sus_search`` -- bounded search over connected sub-formulas of the
-  incidence graph with fewer variables than the clause budget (a
+* ``sus_search`` -- iteratively deepened search over connected sub-formulas
+  of the incidence graph with fewer variables than the target size (a
   subset-minimal unsatisfiable formula has more clauses than variables, and
   so has every subset on the search's path to it), hence restricted to
   clauses shorter than k.
@@ -28,8 +28,7 @@ class WitnessSubset:
     """Clause ids certifying unsatisfiability or entailment of a literal."""
 
     clause_ids: frozenset[int]
-    kind: str = "unsat"  # "unsat" | "entails"
-    literal: Optional[int] = None
+    literal: Optional[int] = None  # the entailed literal; None for unsat
 
     def sorted_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.clause_ids))
@@ -75,19 +74,15 @@ def _neighbors(star: dict[int, frozenset[int]]) -> dict[int, tuple[int, ...]]:
     }
 
 
-def sus_search(
-    formula: CnfFormula, k: int, minimum: bool = False
-) -> Optional[WitnessSubset]:
-    """Bounded search for an unsatisfiable subset of at most k clauses.
+def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
+    """Smallest unsatisfiable subset of at most k clauses, or None.
 
     Enumerates connected sub-formulas of the incidence graph, each exactly
     once (from the seed with the smallest clause id), skipping every one
-    with at least as many variables as the clause budget (the target size,
-    else k).
-    With ``minimum=True`` the subset size is iteratively deepened, so the
-    returned witness has minimum cardinality and is the first one the
-    unbounded enumeration would find; otherwise the first witness found is
-    returned, and it has at most k - 1 variables.
+    with at least as many variables as the target size.  The target size is
+    iteratively deepened from 1 to k and the SAT test runs only on subsets of
+    the target size, so the witness has minimum cardinality and is the first
+    one the unbounded enumeration would find.
 
     Bounded occurrence needs no route of its own: when every variable occurs
     in at most d clauses, a clause shorter than k has fewer than k*d
@@ -108,14 +103,11 @@ def sus_search(
 
     def extend(
         sub: list[int], used: frozenset[int], banned: set[int], seed: int,
-        target: Optional[int],
+        target: int,
     ) -> Optional[frozenset[int]]:
-        if target is None or len(sub) == target:
-            if _is_unsat([star[i] for i in sub]):
-                return frozenset(sub)
-        size = target or k
-        if len(sub) == size:
-            return None
+        if len(sub) == target:
+            unsat = _is_unsat([star[i] for i in sub])
+            return frozenset(sub) if unsat else None
         frontier = set()
         for member in sub:
             frontier.update(neighbors[member])
@@ -125,7 +117,7 @@ def sus_search(
         blocked = set(banned)
         for x in candidates:
             grown = used | variables[x]
-            if len(grown) < size:  # else every superset breaks the bound too
+            if len(grown) < target:  # else every superset breaks the bound too
                 found = extend(sub + [x], grown, blocked, seed, target)
                 if found is not None:
                     return found
@@ -133,30 +125,10 @@ def sus_search(
         return None
 
     seeds = sorted(star)
-    targets = range(1, min(k, len(star)) + 1) if minimum else (None,)
-    for target in targets:
+    for target in range(1, min(k, len(star)) + 1):
         for seed in seeds:
-            if len(variables[seed]) < (target or k):
+            if len(variables[seed]) < target:
                 found = extend([seed], variables[seed], set(), seed, target)
                 if found is not None:
                     return WitnessSubset(found)
     return None
-
-
-def minimize_witness(formula: CnfFormula, witness: WitnessSubset) -> WitnessSubset:
-    """Shrink an unsatisfiability witness to a subset-minimal one.
-
-    Deletion test in ascending id order; the result satisfies the
-    more-clauses-than-variables inequality of minimal unsatisfiable formulas.
-    """
-    if witness.kind != "unsat":
-        raise ValueError("can only minimize unsatisfiability witnesses")
-    kept = sorted(witness.clause_ids)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1 :]
-        if _is_unsat([formula.clause(cid) for cid in trial]):
-            kept = trial
-        else:
-            i += 1
-    return WitnessSubset(frozenset(kept))

@@ -231,3 +231,11 @@ def test_forced_literal_removal_preserves_iterative_sets():
         reduced = iterative_k_backbones(f.reduct((lit,)), k).variables
         assert whole - {v} == reduced
     assert checked >= 10
+
+
+@pytest.mark.parametrize("search", [local_backbones, iterative_k_backbones])
+def test_decision_searches_stay_small(search, capped_sat_calls):
+    # each forcing test deepens to the smallest witness and tests only
+    # subsets with more clauses than variables
+    f = random_formula("3cnf", 20, 85, 1)
+    search(f, 5)

@@ -90,6 +90,15 @@ def test_sus_yes_and_no(chain_file, unsat_file, capsys):
     assert main(["sus", chain_file, "-k", "2"]) == 1
 
 
+def test_sus_prints_a_minimum_subset(tmp_path, capsys):
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 4 4\n2 4 -1 0\n3 -1 0\n-1 0\n1 0\n")
+    assert main(["sus", str(path), "-k", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "unsatisfiable subset of 2 clauses: 3 4", "  3: -1 0", "  4: 1 0",
+    ]
+
+
 def test_local_with_variable(chain_file, capsys):
     assert main(["local", chain_file, "-k", "2", "--var", "2"]) == 0
     assert "polarity +" in capsys.readouterr().out

@@ -45,10 +45,10 @@ def formula_and_variable(draw):
     return f, draw(st.sampled_from(sorted(f.variables)))
 
 
-def split_reference(f, var, k, minimum):
+def split_reference(f, var, k):
     """(original clause ids, certified literal) via backbone_split, or None."""
     split, origin = backbone_split(f, var)
-    found = sus_search(split, k, minimum=minimum)
+    found = sus_search(split, k)
     if found is None:
         return None
     (literal,) = {origin[cid][1] for cid in found.clause_ids}
@@ -67,15 +67,15 @@ def as_pair(witness):
 def test_witnesses_match_split_reference(case, k):
     f, var = case
     verdict, _, witness = is_k_backbone(f, var, k)
-    expected = split_reference(f, var, k, minimum=False)
+    expected = split_reference(f, var, k)
     assert verdict == (expected is not None)
     if tt_satisfiable(f):
         # an unsatisfiable formula forces both polarities; there the split's
-        # search takes an empty clause of either reduct before any other
-        # witness, while the per-literal test keeps to -var first
+        # search takes the smaller witness of either reduct, while the
+        # per-literal test keeps to -var first
         assert as_pair(witness) == expected
     _, _, witness = order_with_witness(f, var, k)
-    assert as_pair(witness) == split_reference(f, var, k, minimum=True)
+    assert as_pair(witness) == expected
 
 
 @SETTINGS
@@ -129,8 +129,8 @@ def test_iterative_orders_can_beat_orders_beyond_kmax():
 
 
 def unpruned_minimum_search(formula, k):
-    """sus_search(minimum=True) without the variable bound: every connected
-    subset of short clauses, in the same order; clause ids or None."""
+    """sus_search without the variable bound: every connected subset of
+    short clauses, in the same order; clause ids or None."""
     star = _short_clauses(formula, k)
     for cid, c in star.items():
         if not c:
@@ -140,13 +140,9 @@ def unpruned_minimum_search(formula, k):
     neighbors = _neighbors(star)
 
     def extend(sub, banned, seed, target):
-        if target is None or len(sub) == target:
-            if solve_sets([star[i] for i in sub]) is None:
-                return frozenset(sub)
-            if target is not None:
-                return None
-        if len(sub) == (target if target is not None else k):
-            return None
+        if len(sub) == target:
+            unsat = solve_sets([star[i] for i in sub]) is None
+            return frozenset(sub) if unsat else None
         frontier = set()
         for member in sub:
             frontier.update(neighbors[member])
@@ -174,7 +170,7 @@ def unpruned_minimum_search(formula, k):
 @example(F([1, 2], [], [-1]), 2)
 @example(F([1, 2], [-1, 2], [1, -2], [-1, -2]), 4)
 def test_minimum_search_matches_unpruned_enumeration(f, k):
-    witness = sus_search(f, k, minimum=True)
+    witness = sus_search(f, k)
     found = None if witness is None else witness.clause_ids
     assert found == unpruned_minimum_search(f, k)
     expected = brute_unsat_subset(f, k)

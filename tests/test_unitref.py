@@ -6,6 +6,7 @@ import pytest
 
 from conftest import F
 from satbones import (
+    CnfFormula,
     UnsatDetected,
     entails,
     forced_at_level,
@@ -15,7 +16,6 @@ from satbones import (
     unit_propagate,
 )
 from satbones.generators import implication_cycle, random_formula
-from satbones.unitref import _level
 
 
 def test_level_one_is_unit_propagation_chain():
@@ -117,7 +117,16 @@ def test_residual_is_reduct_by_forced():
             assert result.contradiction == result.residual.has_empty_clause()
 
 
+def renamed(formula, rename):
+    """The formula with every literal l replaced by rename(l), same ids."""
+    return CnfFormula(
+        {cid: [rename(l) for l in c] for cid, c in formula.clauses()}
+    )
+
+
 def test_fixpoint_is_scan_order_independent_when_satisfiable():
+    # level_reduce scans by ascending variable, positive first; renaming the
+    # variables by a signed permutation v -> +-pi(v) changes that order
     rng = random.Random(5)
     checked = 0
     for seed in range(40):
@@ -127,11 +136,16 @@ def test_fixpoint_is_scan_order_independent_when_satisfiable():
         checked += 1
         canonical = level_reduce(f, 2)
         for _ in range(3):
-            order = sorted(f.literals)
-            rng.shuffle(order)
-            shuffled = _level(f, 2, tuple(order), {})
-            assert shuffled.forced == canonical.forced
-            assert shuffled.residual == canonical.residual
+            image = rng.sample(range(1, 6), 5)
+            sign = [rng.choice((1, -1)) for _ in range(5)]
+
+            def rename(l):
+                v = abs(l) - 1
+                return image[v] * sign[v] * (1 if l > 0 else -1)
+
+            shuffled = level_reduce(renamed(f, rename), 2)
+            assert shuffled.forced == {rename(l) for l in canonical.forced}
+            assert shuffled.residual == renamed(canonical.residual, rename)
     assert checked >= 20
 
 

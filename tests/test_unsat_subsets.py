@@ -4,9 +4,7 @@ import pytest
 
 from conftest import F, brute_unsat_subset, tt_satisfiable
 from satbones import (
-    WitnessSubset,
     full_backbones,
-    minimize_witness,
     sus_bruteforce,
     sus_search,
     unsat_subsets,
@@ -86,7 +84,7 @@ def test_search_verdict_matches_bruteforce():
 def test_search_minimum_mode_matches_bruteforce_size():
     corpus = small_corpus(40, seed_base=1)
     for f in corpus:
-        got = sus_search(f, 5, minimum=True)
+        got = sus_search(f, 5)
         expected = sus_bruteforce(f, 5)
         assert (got is None) == (expected is None)
         if got is not None:
@@ -106,21 +104,19 @@ def test_witness_monotone_in_k():
 
 
 def test_vo_search_unit_pair():
-    for minimum in (False, True):
-        w = sus_search(F([1], [-1]), 2, minimum=minimum)
-        assert w.clause_ids == {1, 2}
+    w = sus_search(F([1], [-1]), 2)
+    assert w.clause_ids == {1, 2}
 
 
 def test_vo_search_finds_witness_in_each_component():
     # two variable-disjoint contradictions
     f = F([1], [-1, 2], [-2], [3], [-3])
-    for minimum in (False, True):
-        w = sus_search(f, 3, minimum=minimum)
-        assert w is not None
-        assert not tt_satisfiable(f.subset(w.clause_ids))
-        # restrict to the second component only: still found
-        g = f.subset([4, 5])
-        assert sus_search(g, 3, minimum=minimum).clause_ids == {4, 5}
+    w = sus_search(f, 3)
+    assert w is not None
+    assert not tt_satisfiable(f.subset(w.clause_ids))
+    # restrict to the second component only: still found
+    g = f.subset([4, 5])
+    assert sus_search(g, 3).clause_ids == {4, 5}
 
 
 def test_vo_search_verdict_matches_bruteforce():
@@ -131,39 +127,21 @@ def test_vo_search_verdict_matches_bruteforce():
         k = seed % 5 + 1
         expected = sus_bruteforce(f, k)
         got = sus_search(f, k)
-        smallest = sus_search(f, k, minimum=True)
         assert (got is None) == (expected is None), (seed, k)
-        assert (smallest is None) == (expected is None), (seed, k)
         if got is not None:
             checked += 1
-            assert len(got.clause_ids) <= k
-            assert len(smallest.clause_ids) == len(expected.clause_ids)
+            assert len(got.clause_ids) == len(expected.clause_ids)
     # vo instances at these sizes are rarely unsatisfiable; make sure the
     # cross-check also exercised yes-instances via a seeded contradiction
     f = F([1], [-1, 2], [-2], [3, 4], [5, 6])
-    for minimum in (False, True):
-        assert sus_search(f, 3, minimum=minimum).clause_ids == {1, 2, 3}
+    assert sus_search(f, 3).clause_ids == {1, 2, 3}
 
 
 def test_planted_core_is_recovered_exactly():
     # noise shares variables with the core but the core is the only
     # unsatisfiable subset of size <= 3
     f = F([1], [-1, 2], [-2], [2, 3], [-3, 4], [1, 4])
-    for minimum in (False, True):
-        assert sus_search(f, 3, minimum=minimum).clause_ids == {1, 2, 3}
-
-
-def test_minimize_shrinks():
-    f = F([1], [-1], [2])
-    w = WitnessSubset(frozenset({1, 2, 3}))
-    small = minimize_witness(f, w)
-    assert small.clause_ids == {1, 2}
-
-
-def test_minimize_keeps_minimal_witness():
-    f = F([1], [-1])
-    w = sus_search(f, 2)
-    assert minimize_witness(f, w).clause_ids == w.clause_ids
+    assert sus_search(f, 3).clause_ids == {1, 2, 3}
 
 
 def test_minimized_witnesses_satisfy_clause_variable_inequality():
@@ -174,8 +152,8 @@ def test_minimized_witnesses_satisfy_clause_variable_inequality():
         if w is None:
             continue
         seen += 1
-        small = minimize_witness(f, w)
-        sub = f.subset(small.clause_ids)
+        # a minimum witness is minimal, so nothing needs shrinking first
+        sub = f.subset(w.clause_ids)
         assert len(sub) > len(sub.variables)
         assert not tt_satisfiable(sub)
     assert seen >= 10
@@ -186,7 +164,7 @@ def test_deficiency_bound_keeps_minimum_search_small(capped_sat_calls):
     # every 3-clause is a candidate at k=4 unless the variable bound prunes it
     f = random_formula("3cnf", 30, 125, 2)
     assert full_backbones(f)[2] is False
-    assert sus_search(f.reduct((2,)), 4, minimum=True) is None
+    assert sus_search(f.reduct((2,)), 4) is None
 
 
 def test_deficiency_bound_keeps_order_at_kmax_5_small(capped_sat_calls):
@@ -199,8 +177,9 @@ def test_deficiency_bound_keeps_order_at_kmax_5_small(capped_sat_calls):
 
 def test_bounded_occurrence_search_stays_small(capped_sat_calls):
     # the `wide` benchmark's vo family: the connected-subset enumeration is
-    # fixed-parameter tractable in k + d, so k=4 needs few SAT calls
+    # fixed-parameter tractable in k + d, and iterative deepening tests only
+    # subsets of the target size, so k=4 and k=6 need few SAT calls
     for seed in range(6):
         f = random_formula("vo", 20, 50, seed, d=8)
-        for minimum in (False, True):
-            sus_search(f, 4, minimum=minimum)
+        for k in (4, 6):
+            sus_search(f, k)

@@ -7,7 +7,11 @@ Two routes that return witnesses of the same, minimum, size:
   of the incidence graph with fewer variables than the target size (a
   subset-minimal unsatisfiable formula has more clauses than variables, and
   so has every subset on the search's path to it), hence restricted to
-  clauses shorter than k.
+  clauses shorter than k.  The clauses are bits of an int, numbered in
+  ascending id order.  A subset of the target size goes to the SAT test
+  only when each of its variables occurs in both polarities: the smaller
+  targets have all been searched, so an unsatisfiable subset of the target
+  size is minimally unsatisfiable, and such a formula has no pure literal.
 
 Both are deterministic: seeds in ascending clause-id order,
 extensions in ascending id order.
@@ -60,20 +64,6 @@ def _short_clauses(formula: CnfFormula, k: int) -> dict[int, frozenset[int]]:
     return {cid: c for cid, c in formula.clauses() if len(c) < k}
 
 
-def _neighbors(star: dict[int, frozenset[int]]) -> dict[int, tuple[int, ...]]:
-    by_var: dict[int, list[int]] = {}
-    for cid, c in star.items():
-        for l in c:
-            by_var.setdefault(abs(l), []).append(cid)
-    adjacent: dict[int, set[int]] = {cid: set() for cid in star}
-    for ids in by_var.values():
-        for cid in ids:
-            adjacent[cid].update(ids)
-    return {
-        cid: tuple(sorted(peers - {cid})) for cid, peers in adjacent.items()
-    }
-
-
 def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
     """Smallest unsatisfiable subset of at most k clauses, or None.
 
@@ -83,6 +73,21 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
     iteratively deepened from 1 to k and the SAT test runs only on subsets of
     the target size, so the witness has minimum cardinality and is the first
     one the unbounded enumeration would find.
+
+    The short clauses are numbered 0..n-1 in ascending id order, and the
+    subset, its frontier, the banned clauses and the subset's positive and
+    negative variables are int bitmasks.  Candidates are taken lowest bit
+    first, which is ascending id order.  A seed bans every bit up to its
+    own, so only larger ids join it.
+
+    A subset of the target size gets the SAT test only if every variable in
+    it occurs in both polarities.  This drops no unsatisfiable subset:
+    every smaller target has already been searched, so an unsatisfiable
+    subset of this size has no unsatisfiable proper subset (a minimal one
+    would be connected, with fewer variables than clauses, and found
+    earlier), and a minimally unsatisfiable formula has no pure literal.
+    The filter thus depends on the loop over targets: a search at a single
+    target keeps it exact only when no smaller witness can exist.
 
     Bounded occurrence needs no route of its own: when every variable occurs
     in at most d clauses, a clause shorter than k has fewer than k*d
@@ -98,37 +103,67 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
             return WitnessSubset(frozenset((cid,)))
     if solve_sets(star.values()) is not None:
         return None
-    neighbors = _neighbors(star)
-    variables = {cid: frozenset(abs(l) for l in c) for cid, c in star.items()}
+    ids = sorted(star)
+    clauses = [star[cid] for cid in ids]
+    occurs: dict[int, int] = {}  # variable -> mask of the clauses it is in
+    for i, c in enumerate(clauses):
+        for l in c:
+            occurs[abs(l)] = occurs.get(abs(l), 0) | 1 << i
+    var_bit = {v: 1 << j for j, v in enumerate(sorted(occurs))}
+    positive = [0] * len(ids)
+    negative = [0] * len(ids)
+    neighbors = [0] * len(ids)
+    for i, c in enumerate(clauses):
+        for l in c:
+            if l > 0:
+                positive[i] |= var_bit[l]
+            else:
+                negative[i] |= var_bit[-l]
+            neighbors[i] |= occurs[abs(l)]
+        neighbors[i] &= ~(1 << i)
+    variables = [p | n for p, n in zip(positive, negative)]
 
     def extend(
-        sub: list[int], used: frozenset[int], banned: set[int], seed: int,
+        sub: int, frontier: int, banned: int, pos: int, neg: int, size: int,
         target: int,
-    ) -> Optional[frozenset[int]]:
-        if len(sub) == target:
-            unsat = _is_unsat([star[i] for i in sub])
-            return frozenset(sub) if unsat else None
-        frontier = set()
-        for member in sub:
-            frontier.update(neighbors[member])
-        candidates = sorted(
-            x for x in frontier if x > seed and x not in banned and x not in sub
-        )
-        blocked = set(banned)
-        for x in candidates:
-            grown = used | variables[x]
-            if len(grown) < target:  # else every superset breaks the bound too
-                found = extend(sub + [x], grown, blocked, seed, target)
+    ) -> Optional[int]:
+        if size == target:
+            if pos != neg:  # a pure literal: the subset is satisfiable
+                return None
+            unsat = _is_unsat([clauses[i] for i in _indices(sub)])
+            return sub if unsat else None
+        candidates = frontier & ~banned
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            banned |= low
+            x = low.bit_length() - 1
+            if (pos | neg | variables[x]).bit_count() < target:
+                # else every superset breaks the bound too
+                found = extend(
+                    sub | low, frontier | neighbors[x], banned,
+                    pos | positive[x], neg | negative[x], size + 1, target,
+                )
                 if found is not None:
                     return found
-            blocked.add(x)
         return None
 
-    seeds = sorted(star)
-    for target in range(1, min(k, len(star)) + 1):
-        for seed in seeds:
-            if len(variables[seed]) < target:
-                found = extend([seed], variables[seed], set(), seed, target)
+    for target in range(1, min(k, len(ids)) + 1):
+        for i in range(len(ids)):
+            if variables[i].bit_count() < target:
+                found = extend(
+                    1 << i, neighbors[i], (2 << i) - 1,
+                    positive[i], negative[i], 1, target,
+                )
                 if found is not None:
-                    return WitnessSubset(found)
+                    witness = (ids[j] for j in _indices(found))
+                    return WitnessSubset(frozenset(witness))
     return None
+
+
+def _indices(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

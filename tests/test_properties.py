@@ -3,10 +3,11 @@ random formulas.
 
 The forcing test's reference is the paper's reduction: search the two-reduct
 split of the variable and map the witness back through the origin map.  The
-subset search's reference is the same enumeration without the variable
-bound.  The report's order phase is checked against the per-variable
-functions it replaces.  Examples are derandomized and no example database is kept, so runs
-are repeatable.
+subset search's reference is the same enumeration on sets, without the
+variable bound or the pure-literal leaf filter, and its witnesses are checked
+to be minimally unsatisfiable.  The report's order phase is checked against
+the per-variable functions it replaces.  Examples are derandomized and no
+example database is kept, so runs are repeatable.
 """
 
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from satbones import (
 from satbones.backbones import backbone_orders, order_with_witness
 from satbones.generators import random_formula
 from satbones.solver import solve_sets
-from satbones.unsat_subsets import _neighbors, _short_clauses
+from satbones.unsat_subsets import _short_clauses
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -128,9 +129,25 @@ def test_iterative_orders_can_beat_orders_beyond_kmax():
     assert iterative[6] == 4 and iterative[3] == 5
 
 
+def _neighbors(star):
+    """Clause id -> ascending ids of the other clauses sharing a variable."""
+    by_var = {}
+    for cid, c in star.items():
+        for l in c:
+            by_var.setdefault(abs(l), []).append(cid)
+    adjacent = {cid: set() for cid in star}
+    for ids in by_var.values():
+        for cid in ids:
+            adjacent[cid].update(ids)
+    return {
+        cid: tuple(sorted(peers - {cid})) for cid, peers in adjacent.items()
+    }
+
+
 def unpruned_minimum_search(formula, k):
-    """sus_search without the variable bound: every connected subset of
-    short clauses, in the same order; clause ids or None."""
+    """sus_search without the variable bound or the pure-literal leaf
+    filter, on sets instead of bitmasks: every connected subset of short
+    clauses, in the same order, gets the SAT test; clause ids or None."""
     star = _short_clauses(formula, k)
     for cid, c in star.items():
         if not c:
@@ -190,3 +207,21 @@ def test_search_witness_is_small_and_unsatisfiable(f, k):
         assert not tt_satisfiable(sub)
         assert len(sub) <= k
         assert len(sub.variables) <= k - 1
+
+
+@SETTINGS
+@given(formulas(), st.integers(1, 4))
+@example(F([1, 2], [1, -2], [-1, 2], [-1, -2]), 4)
+@example(F([1], [-1, 2], [-2], [2, 3]), 3)
+def test_search_witness_is_minimal_without_pure_literals(f, k):
+    # the lemma behind sus_search's leaf filter: under iterative deepening
+    # every witness is minimally unsatisfiable, hence has no pure literal
+    witness = sus_search(f, k)
+    if witness is None:
+        return
+    ids = sorted(witness.clause_ids)
+    assert not tt_satisfiable(f.subset(ids))
+    for cid in ids:
+        assert tt_satisfiable(f.subset([i for i in ids if i != cid]))
+    literals = {l for cid in ids for l in f.clause(cid)}
+    assert all(-l in literals for l in literals)

@@ -183,3 +183,20 @@ def test_bounded_occurrence_search_stays_small(capped_sat_calls):
         f = random_formula("vo", 20, 50, seed, d=8)
         for k in (4, 6):
             sus_search(f, k)
+
+
+def test_pure_literal_filter_keeps_sat_calls_few(monkeypatch):
+    # a subset of the target size is SAT-tested only when every variable in
+    # it occurs in both polarities; without that filter these ten searches
+    # make 5,083 SAT calls
+    calls = []
+    solve = unsat_subsets.solve_sets
+
+    def counted(clause_sets):
+        calls.append(None)
+        return solve(clause_sets)
+
+    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
+    for seed in range(10):
+        sus_search(random_formula("3cnf", 12, 70, seed), 6)
+    assert len(calls) <= 1500

@@ -145,7 +145,12 @@ class CnfFormula:
         """Assert the given literals: drop satisfied clauses, strip complements.
 
         Clause ids survive, so a clause of the reduct is traceable to the
-        clause of the original formula it came from.
+        clause of the original formula it came from.  A stripped clause equal
+        to an earlier one is dropped, so the smallest id wins, as in the
+        constructor.  The result is built directly, without the constructor's
+        checks: clauses stay in ascending id order, and a subset of a valid,
+        non-tautological clause is valid and non-tautological.  Formulas are
+        immutable, so the result shares ``var_names`` with this formula.
         """
         asserted = frozenset(assert_literals)
         for l in asserted:
@@ -155,11 +160,20 @@ class CnfFormula:
                 )
         complements = frozenset(-l for l in asserted)
         out: dict[int, frozenset[int]] = {}
+        seen: set[frozenset[int]] = set()
         for cid, c in self._clauses.items():
-            if c & asserted:
+            if not c.isdisjoint(asserted):
                 continue
-            out[cid] = c - complements
-        return CnfFormula(out, self.var_names)
+            if not c.isdisjoint(complements):
+                c = c - complements
+            if c in seen:
+                continue
+            seen.add(c)
+            out[cid] = c
+        result = CnfFormula.__new__(CnfFormula)
+        result._clauses = out
+        result.var_names = self.var_names
+        return result
 
     def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
         """Whether the assignment satisfies every clause (must be total)."""

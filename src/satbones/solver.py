@@ -7,6 +7,7 @@ unsatisfiable-subset check in this package.  Desk-scale instances only.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from .formula import CnfFormula
@@ -22,6 +23,12 @@ class Propagation(NamedTuple):
     forced: tuple[int, ...]
     residual: CnfFormula
     conflict: bool
+
+
+def _assert(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
+    """The clauses under lit: drop those it satisfies, strip its complement."""
+    complement = frozenset((-lit,))
+    return [c - complement if -lit in c else c for c in clauses if lit not in c]
 
 
 def _propagate(
@@ -43,9 +50,7 @@ def _propagate(
         if not unit:
             return clauses, assign
         assign[abs(unit)] = unit > 0
-        clauses = [
-            c - {-unit} if -unit in c else c for c in clauses if unit not in c
-        ]
+        clauses = _assert(clauses, unit)
 
 
 def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
@@ -64,7 +69,7 @@ def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
                     model.update(units)
                     model[abs(lit)] = lit > 0
                 return model
-            v = min(min(abs(l) for l in c) for c in clauses)
+            v = min(map(abs, chain.from_iterable(clauses)))
             depth = len(path)
             branches.append((clauses, assign, -v, depth))
             branches.append((clauses, assign, v, depth))
@@ -73,9 +78,7 @@ def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
         clauses, assign, lit, depth = branches.pop()
         del path[depth:]
         path.append((assign, lit))
-        node = _propagate(
-            [c - {-lit} if -lit in c else c for c in clauses if lit not in c]
-        )
+        node = _propagate(_assert(clauses, lit))
 
 
 def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:

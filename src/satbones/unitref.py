@@ -4,9 +4,12 @@ Level 0 collapses a formula to the single empty clause when it contains one
 and leaves it alone otherwise.  At level k > 0, while asserting the
 complement of some literal collapses at level k-1, that literal is forced
 and asserted; the fixpoint is returned.  Level 1 is exactly unit
-propagation.  The forced-literal sets grow with k and always over-approximate
-the literal sets found by iterative k-backbone computation (strictly so on
-some families).
+propagation, and it builds no reduct to probe a literal: F|-l contains the
+empty clause exactly when F contains the empty clause or the unit clause
+{l}, so level 1 reads the literals it may force off F's unit clauses and
+takes them in the same scan order.  The forced-literal sets grow with k and
+always over-approximate the literal sets found by iterative k-backbone
+computation (strictly so on some families).
 """
 
 from __future__ import annotations
@@ -42,12 +45,25 @@ def _level(
     progress = True
     while progress:
         progress = False
-        for lit in literal_order(current.literals):
-            if _level(current.reduct((-lit,)), k - 1, memo).contradiction:
-                forced.add(lit)
-                current = current.reduct((lit,))
-                progress = True
-                break
+        if k == 1:
+            # every candidate collapses at level 0 (see the module docstring)
+            if current.has_empty_clause():
+                candidates = current.literals
+            else:
+                candidates = {
+                    l for c in current.literal_sets() if len(c) == 1 for l in c
+                }
+        else:
+            candidates = current.literals
+        for lit in literal_order(candidates):
+            if k > 1:
+                probe = _level(current.reduct((-lit,)), k - 1, memo)
+                if not probe.contradiction:
+                    continue
+            forced.add(lit)
+            current = current.reduct((lit,))
+            progress = True
+            break
     memo[formula, k] = result = LevelReduction(
         current, frozenset(forced), current.has_empty_clause()
     )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import F
 from satbones import (
@@ -74,6 +76,51 @@ def test_reduct_preserves_clause_ids():
     assert reduced.clause_ids() == (1, 2)
     assert reduced.clause(1) == frozenset({2})
     assert reduced.clause(2) == frozenset({3, 4})
+
+
+@st.composite
+def formulas_and_assertions(draw):
+    """Up to 9 clauses of width 0..3 over at most 5 variables, under gappy
+    ids, and a non-complementary literal set that may name absent
+    variables."""
+    n = draw(st.integers(1, 5))
+    clause = st.lists(
+        st.integers(1, n), max_size=min(3, n), unique=True
+    ).flatmap(lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    ids = draw(st.lists(st.integers(1, 40), max_size=9, unique=True))
+    clauses = {cid: draw(clause) for cid in ids}
+    variables = draw(st.lists(st.integers(1, n + 1), max_size=4, unique=True))
+    asserted = [draw(st.sampled_from((v, -v))) for v in variables]
+    return CnfFormula(clauses, {1: "a", 2: "b"}), asserted
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(formulas_and_assertions())
+def test_reduct_equals_constructor_on_stripped_clauses(case):
+    f, asserted = case
+    reduced = f.reduct(asserted)
+    expected = CnfFormula(
+        {
+            cid: c - {-l for l in asserted}
+            for cid, c in f.clauses()
+            if not c & set(asserted)
+        },
+        f.var_names,
+    )
+    assert reduced.clauses() == expected.clauses()
+    assert reduced == expected and hash(reduced) == hash(expected)
+    assert reduced.has_empty_clause() == expected.has_empty_clause()
+    assert reduced.empty_clause_id() == expected.empty_clause_id()
+    assert reduced.var_names == f.var_names
+
+
+def test_reduct_collision_keeps_smallest_id():
+    # both clauses strip to {1}; the constructor keeps the smaller id
+    reduced = CnfFormula({1: [1, 3], 2: [1, -2]}).reduct([-3, 2])
+    assert reduced.clauses() == ((1, frozenset({1})),)
+    # a clause the assertion leaves alone still yields to an earlier one
+    unchanged = CnfFormula({1: [1, -2], 2: [1], 3: [-1, 3]}).reduct([2])
+    assert unchanged.clauses() == ((1, frozenset({1})), (3, frozenset({-1, 3})))
 
 
 def test_reduct_variable_shrinkage_random():

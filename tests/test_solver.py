@@ -151,3 +151,29 @@ def test_full_backbones_matches_enumeration_random():
         checked += 1
         assert full_backbones(f) == tt_backbones(f)
     assert checked >= 20
+
+
+# `satbones solve` output on random_formula("3cnf", 30, 120, seed); None
+# marks an unsatisfiable draw.  The branching order (lowest variable,
+# positive first) fixes every model, so a change to the DPLL loop that
+# keeps its order prints the same lines.
+SOLVE_GOLDEN = {
+    0: "v 1 2 -3 -4 -5 -6 7 8 9 -10 11 12 13 14 -15 -16 17 -18 19 20 21 -22 23 -24 25 26 -27 -28 -29 -30 0",
+    1: "v -1 -2 3 4 5 -6 -7 8 -9 10 -11 12 -13 -14 15 16 17 18 -19 20 -21 -22 23 -24 -25 26 27 -28 -29 -30 0",
+    2: "v 1 2 -3 4 5 6 7 -8 9 10 11 -12 13 14 -15 16 -17 18 19 -20 21 -22 -23 24 25 -26 -27 28 29 30 0",
+    3: None,
+    4: "v 1 -2 3 -4 5 -6 7 8 9 10 11 12 13 -14 -15 -16 17 18 19 20 21 -22 -23 24 25 -26 -27 -28 -29 30 0",
+    5: "v 1 -2 3 4 5 -6 7 -8 9 -10 -11 12 -13 -14 15 16 17 -18 -19 20 21 -22 23 24 25 26 27 -28 29 30 0",
+}
+
+
+def test_solve_models_are_pinned(tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    for seed, model_line in SOLVE_GOLDEN.items():
+        path.write_text(emit_dimacs(random_formula("3cnf", 30, 120, seed)))
+        code = main(["solve", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        if model_line is None:
+            assert (code, out) == (1, ["UNSATISFIABLE"])
+        else:
+            assert (code, out) == (0, ["SATISFIABLE", model_line])

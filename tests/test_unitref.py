@@ -7,6 +7,7 @@ import pytest
 from conftest import F
 from satbones import (
     CnfFormula,
+    LevelReduction,
     UnsatDetected,
     entails,
     forced_at_level,
@@ -15,6 +16,9 @@ from satbones import (
     solve,
     unit_propagate,
 )
+from satbones.cli import main
+from satbones.dimacs import emit_dimacs, parse_dimacs
+from satbones.formula import literal_order
 from satbones.generators import implication_cycle, random_formula
 
 
@@ -156,3 +160,64 @@ def test_level_reduce_keeps_no_reference_to_its_input():
     del f
     gc.collect()
     assert ref() is None
+
+
+def reference_level(formula, k, memo):
+    """The levelled fixpoint with a reduct per probe: a literal l is tested
+    by building F|-l and reducing it at level k-1, at every level k >= 1."""
+    if k == 0:
+        if formula.has_empty_clause():
+            collapsed = formula.subset((formula.empty_clause_id(),))
+            return LevelReduction(collapsed, frozenset(), True)
+        return LevelReduction(formula, frozenset(), False)
+    if (formula, k) in memo:
+        return memo[formula, k]
+    current = formula
+    forced = set()
+    progress = True
+    while progress:
+        progress = False
+        for lit in literal_order(current.literals):
+            if reference_level(current.reduct((-lit,)), k - 1, memo).contradiction:
+                forced.add(lit)
+                current = current.reduct((lit,))
+                progress = True
+                break
+    memo[formula, k] = result = LevelReduction(
+        current, frozenset(forced), current.has_empty_clause()
+    )
+    return result
+
+
+def uc_lines(result):
+    return [str(l) for l in literal_order(result.forced)] + [
+        f"total: {len(result.forced)}",
+        f"residual clauses: {len(result.residual)}",
+        f"contradiction: {str(result.contradiction).lower()}",
+    ]
+
+
+def oracle_draws():
+    for seed in range(12):
+        yield random_formula("3cnf", 8, 30 + 2 * seed, seed)
+        yield random_formula("krom", 7, 9 + seed, seed)
+    # an input holding the empty clause forces every variable, in scan order
+    yield CnfFormula({1: [1, -2], 2: [], 3: [2, 3], 4: [-3]})
+
+
+def test_level_reduce_matches_reduct_per_probe_reference(tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    unsatisfiable = 0
+    for f in oracle_draws():
+        path.write_text(emit_dimacs(f))
+        f = parse_dimacs(path.read_text())
+        unsatisfiable += solve(f) is None
+        for k in (1, 2, 3):
+            expected = reference_level(f, k, {})
+            got = level_reduce(f, k)
+            assert got.forced == expected.forced
+            assert got.residual.clauses() == expected.residual.clauses()
+            assert got.contradiction == expected.contradiction
+            assert main(["uc", str(path), "-k", str(k)]) == 0
+            assert capsys.readouterr().out.splitlines() == uc_lines(expected)
+    assert unsatisfiable >= 5

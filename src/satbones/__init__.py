@@ -33,11 +33,7 @@ from .solver import (
     unit_propagate,
 )
 from .unitref import LevelReduction, forced_at_level, level_reduce
-from .unsat_subsets import (
-    WitnessSubset,
-    sus_bruteforce,
-    sus_search,
-)
+from .unsat_subsets import sus_bruteforce, sus_search
 
 __version__ = "0.1.0"
 
@@ -56,7 +52,6 @@ __all__ = [
     "TautologicalClauseError",
     "UnsatDetected",
     "UnsatFormulaError",
-    "WitnessSubset",
     "backbone_order",
     "backbone_split",
     "build_report",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .formula import CnfFormula, literal_order
-from .unsat_subsets import WitnessSubset, sus_search
+from .unsat_subsets import sus_search
 
 
 class UnsatDetected(Exception):
@@ -56,18 +56,15 @@ def backbone_split(
     return CnfFormula(combined), origin
 
 
-def _witness(formula: CnfFormula, lit: int, k: int) -> Optional[WitnessSubset]:
-    """Fewest clauses, at most k, entailing lit: the minimum unsatisfiable
-    subset of the -lit reduct."""
-    found = sus_search(formula.reduct((-lit,)), k)
-    if found is None:
-        return None
-    return WitnessSubset(found.clause_ids, literal=lit)
+def _witness(formula: CnfFormula, lit: int, k: int) -> Optional[tuple[int, ...]]:
+    """Fewest clauses, at most k, entailing lit, as ascending clause ids: the
+    minimum unsatisfiable subset of the -lit reduct."""
+    return sus_search(formula.reduct((-lit,)), k)
 
 
 def is_k_backbone(
     formula: CnfFormula, var: int, k: int
-) -> tuple[bool, Optional[bool], Optional[WitnessSubset]]:
+) -> tuple[bool, Optional[bool], Optional[tuple[int, ...]]]:
     """Decide whether var is forced by some subset of at most k clauses.
 
     Returns (verdict, forced polarity, witness over original clause ids),
@@ -90,7 +87,7 @@ def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
 
 def order_with_witness(
     formula: CnfFormula, var: int, kmax: int
-) -> tuple[Optional[int], Optional[bool], Optional[WitnessSubset]]:
+) -> tuple[Optional[int], Optional[bool], Optional[tuple[int, ...]]]:
     """backbone_order plus the certifying minimum witness and polarity.
 
     A tie in size goes to the negative polarity, so the positive one is
@@ -100,12 +97,13 @@ def order_with_witness(
         raise ValueError("kmax must be >= 1")
     _require_variable(formula, var)
     negative = _witness(formula, -var, kmax)
-    bound = kmax if negative is None else len(negative.clause_ids) - 1
+    bound = kmax if negative is None else len(negative) - 1
     positive = _witness(formula, var, bound) if bound else None
-    best = negative if positive is None else positive
-    if best is None:
-        return None, None, None
-    return len(best.clause_ids), best.literal > 0, best
+    if positive is not None:
+        return len(positive), True, positive
+    if negative is not None:
+        return len(negative), False, negative
+    return None, None, None
 
 
 def _forced_literals(formula: CnfFormula, k: int) -> list[int]:
@@ -179,7 +177,7 @@ def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
 
 def backbone_orders(
     formula: CnfFormula, backbone: Mapping[int, bool], kmax: int
-) -> tuple[dict[int, Optional[WitnessSubset]], dict[int, int]]:
+) -> tuple[dict[int, Optional[tuple[int, ...]]], dict[int, int]]:
     """Minimum witness and iterative order of each backbone, up to kmax
     (None and no entry beyond it).
 
@@ -195,7 +193,7 @@ def backbone_orders(
         raise ValueError("kmax must be >= 1")
     literal = {v: v if backbone[v] else -v for v in sorted(backbone)}
     witness = {v: _witness(formula, l, kmax) for v, l in literal.items()}
-    order = {v: len(w.clause_ids) if w else kmax + 1 for v, w in witness.items()}
+    order = {v: len(w) if w else kmax + 1 for v, w in witness.items()}
     iterative: dict[int, int] = {}
     current = formula
     for k in range(1, kmax + 1):
@@ -207,5 +205,5 @@ def backbone_orders(
             for v in order:
                 found = _witness(current, literal[v], order[v] - 1)
                 if found is not None:
-                    order[v] = len(found.clause_ids)
+                    order[v] = len(found)
     return witness, iterative

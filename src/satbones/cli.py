@@ -55,11 +55,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _excerpt(formula: CnfFormula, clause_ids) -> str:
+def _excerpt(formula: CnfFormula, clause_ids: tuple[int, ...]) -> str:
     lines = []
-    for cid in sorted(clause_ids):
-        lits = literal_order(formula.clause(cid))
-        lines.append(f"  {cid}: {' '.join(map(str, lits))} 0")
+    for cid in clause_ids:
+        lits = literal_order(formula.clause(cid)) + [0]
+        lines.append(f"  {cid}: {' '.join(map(str, lits))}")
     return "\n".join(lines)
 
 
@@ -110,9 +110,9 @@ def cmd_sus(args) -> int:
     if witness is None:
         print(f"no unsatisfiable subset of at most {args.k} clauses")
         return EXIT_NO
-    ids = witness.sorted_ids()
-    print(f"unsatisfiable subset of {len(ids)} clauses: {' '.join(map(str, ids))}")
-    print(_excerpt(formula, ids))
+    ids = " ".join(map(str, witness))
+    print(f"unsatisfiable subset of {len(witness)} clauses: {ids}")
+    print(_excerpt(formula, witness))
     return EXIT_OK
 
 
@@ -127,7 +127,7 @@ def cmd_local(args) -> int:
             f"variable {args.var} is a {args.k}-backbone, "
             f"polarity {'+' if polarity else '-'}"
         )
-        print(_excerpt(formula, witness.clause_ids))
+        print(_excerpt(formula, witness))
         return EXIT_OK
     found = local_backbones(formula, args.k)
     for v in sorted(found):

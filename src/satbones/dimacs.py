@@ -40,7 +40,7 @@ def parse_dimacs(
 
     declared_vars: Optional[int] = None
     declared_clauses: Optional[int] = None
-    clauses: dict[int, list[int]] = {}
+    clauses: dict[int, set[int]] = {}
     pending: list[int] = []
     next_id = 1
     last_line = 0
@@ -64,7 +64,7 @@ def parse_dimacs(
                 diag(f"line {line_no}: dropped tautological clause {cid}")
                 return
             seen.add(l)
-        clauses[cid] = sorted(seen, key=abs)
+        clauses[cid] = seen
 
     for line_no, raw in enumerate(data.splitlines(), start=1):
         last_line = line_no

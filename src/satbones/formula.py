@@ -187,7 +187,9 @@ class CnfFormula:
 
     @cached_property
     def _key(self) -> tuple:
-        return tuple((cid, tuple(sorted(c))) for cid, c in self._clauses.items())
+        # ids are ascending on every construction path, and frozensets
+        # compare as sets and cache their hash
+        return tuple(self._clauses.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):

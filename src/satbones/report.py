@@ -95,7 +95,7 @@ class OrderDistribution:
                         r.iterative_order, r.is_backbone
                     ),
                     "witness": (
-                        sorted(r.witness_ids) if r.witness_ids else None
+                        list(r.witness_ids) if r.witness_ids else None
                     ),
                 }
                 for r in self.records
@@ -135,9 +135,9 @@ def build_report(
                     variable=v,
                     is_backbone=True,
                     polarity=backbone[v],
-                    order=len(witness.clause_ids) if witness else None,
+                    order=len(witness) if witness else None,
                     iterative_order=iter_order.get(v),
-                    witness_ids=witness.sorted_ids() if witness else None,
+                    witness_ids=witness,
                 )
             )
         else:

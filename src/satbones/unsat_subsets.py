@@ -1,6 +1,7 @@
 """Finding minimum unsatisfiable subsets of at most k clauses.
 
-Two routes that return witnesses of the same, minimum, size:
+Two routes that return witnesses of the same, minimum, size, each a tuple
+of clause ids in ascending order:
 
 * ``sus_bruteforce`` -- reference oracle, plain enumeration by subset size;
 * ``sus_search`` -- iteratively deepened search over connected sub-formulas
@@ -20,29 +21,17 @@ extensions in ascending id order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .formula import CnfFormula
 from .solver import solve_sets
 
 
-@dataclass(frozen=True)
-class WitnessSubset:
-    """Clause ids certifying unsatisfiability or entailment of a literal."""
-
-    clause_ids: frozenset[int]
-    literal: Optional[int] = None  # the entailed literal; None for unsat
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.clause_ids))
-
-
 def _is_unsat(clause_sets) -> bool:
     return solve_sets(clause_sets) is None
 
 
-def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
+def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     """Minimum-cardinality unsatisfiable subset of size <= k, by enumeration.
 
     Reference oracle: no pruning beyond bailing out early when the whole
@@ -56,7 +45,7 @@ def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
     for size in range(1, min(k, len(ids)) + 1):
         for combo in itertools.combinations(ids, size):
             if _is_unsat([formula.clause(cid) for cid in combo]):
-                return WitnessSubset(frozenset(combo))
+                return combo
     return None
 
 
@@ -64,8 +53,9 @@ def _short_clauses(formula: CnfFormula, k: int) -> dict[int, frozenset[int]]:
     return {cid: c for cid, c in formula.clauses() if len(c) < k}
 
 
-def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
-    """Smallest unsatisfiable subset of at most k clauses, or None.
+def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
+    """Smallest unsatisfiable subset of at most k clauses, as ascending
+    clause ids, or None.
 
     Enumerates connected sub-formulas of the incidence graph, each exactly
     once (from the seed with the smallest clause id), skipping every one
@@ -100,16 +90,16 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
     star = _short_clauses(formula, k)
     for cid, c in star.items():
         if not c:
-            return WitnessSubset(frozenset((cid,)))
+            return (cid,)
     if solve_sets(star.values()) is not None:
         return None
-    ids = sorted(star)
-    clauses = [star[cid] for cid in ids]
+    ids = list(star)
+    clauses = list(star.values())
     occurs: dict[int, int] = {}  # variable -> mask of the clauses it is in
     for i, c in enumerate(clauses):
         for l in c:
             occurs[abs(l)] = occurs.get(abs(l), 0) | 1 << i
-    var_bit = {v: 1 << j for j, v in enumerate(sorted(occurs))}
+    var_bit = {v: 1 << j for j, v in enumerate(occurs)}
     positive = [0] * len(ids)
     negative = [0] * len(ids)
     neighbors = [0] * len(ids)
@@ -156,8 +146,7 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[WitnessSubset]:
                     positive[i], negative[i], 1, target,
                 )
                 if found is not None:
-                    witness = (ids[j] for j in _indices(found))
-                    return WitnessSubset(frozenset(witness))
+                    return tuple(ids[j] for j in _indices(found))
     return None
 
 

@@ -82,8 +82,8 @@ def test_criterion_01_sus_oracle_equivalence():
         assert (searched is None) == (expected is None), (i, k)
         for witness in (expected, searched):
             if witness is not None:
-                assert len(witness.clause_ids) <= k
-                assert not tt_satisfiable(formula.subset(witness.clause_ids))
+                assert len(witness) <= k
+                assert not tt_satisfiable(formula.subset(witness))
                 _collected_witnesses.append((formula, witness))
         agreements += 1
     elapsed = time.perf_counter() - start
@@ -305,7 +305,7 @@ def test_criterion_10_minimal_witnesses_obey_clause_variable_inequality():
     assert pool, "no witnesses to check"
     for formula, witness in pool:
         # every search returns a minimum witness, so none is minimized first
-        sub = formula.subset(witness.clause_ids)
+        sub = formula.subset(witness)
         assert len(sub) > len(sub.variables), (formula, witness)
         assert not tt_satisfiable(sub)
     _passed(10, f"{len(pool)} search witnesses all have more clauses "

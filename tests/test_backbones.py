@@ -37,8 +37,7 @@ def mixed_corpus(count, seed_base=0):
 def test_is_k_backbone_chain():
     verdict, polarity, witness = is_k_backbone(F([1], [-1, 2]), 2, 2)
     assert verdict and polarity is True
-    assert witness.clause_ids == {1, 2}
-    assert witness.literal == 2
+    assert witness == (1, 2)
 
 
 def test_is_k_backbone_single_wide_clause_forces_nothing():
@@ -86,12 +85,12 @@ def test_backbone_split_matches_bruteforce():
         k = i % 4 + 1
         v = rng.choice(sorted(f.variables))
         expected = brute_k_backbone(f, v, k)
-        verdict, _, witness = is_k_backbone(f, v, k)
+        verdict, polarity, witness = is_k_backbone(f, v, k)
         assert verdict == (expected is not None), (i, v, k)
         if verdict:
-            sub = f.subset(witness.clause_ids)
-            # the witness really certifies the reported literal
-            assert not tt_satisfiable(sub.reduct((-witness.literal,)))
+            sub = f.subset(witness)
+            # the witness really certifies the reported polarity
+            assert not tt_satisfiable(sub.reduct((-v if polarity else v,)))
 
 
 def test_backbone_order_unit():

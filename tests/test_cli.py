@@ -99,6 +99,15 @@ def test_sus_prints_a_minimum_subset(tmp_path, capsys):
     ]
 
 
+def test_sus_prints_an_empty_clause(tmp_path, capsys):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 3 3\n1 2 0\n-1 0\n0\n")
+    assert main(["sus", str(path), "-k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "unsatisfiable subset of 1 clauses: 3", "  3: 0",
+    ]
+
+
 def test_local_with_variable(chain_file, capsys):
     assert main(["local", chain_file, "-k", "2", "--var", "2"]) == 0
     assert "polarity +" in capsys.readouterr().out

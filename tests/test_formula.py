@@ -191,3 +191,14 @@ def test_formula_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != F([1, 2])
+
+
+def test_formula_identity_ignores_literal_iteration_order():
+    # frozenset({1, 9}) built from [1, 9] and from [9, 1] iterates in
+    # different orders in CPython, so an order-dependent key tells them apart
+    a = CnfFormula({1: [1, 9], 2: [9, -3]})
+    b = CnfFormula({1: [9, 1], 2: [-3, 9]})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.reduct((3,)) == b.reduct((3,))
+    assert hash(a.reduct((3,))) == hash(b.reduct((3,)))

@@ -52,7 +52,7 @@ def test_guard_variable_turns_contradiction_into_backbone():
     assert lifted.clauses() == ((1, frozenset({1, z})), (2, frozenset({-1, z})))
     verdict, polarity, witness = is_k_backbone(lifted, z, 2)
     assert verdict and polarity is True
-    assert witness.clause_ids == {1, 2}
+    assert witness == (1, 2)
 
 
 def test_guard_variable_never_occurs_negated():

@@ -52,12 +52,12 @@ def split_reference(f, var, k):
     found = sus_search(split, k)
     if found is None:
         return None
-    (literal,) = {origin[cid][1] for cid in found.clause_ids}
-    return frozenset(origin[cid][0] for cid in found.clause_ids), literal
+    (literal,) = {origin[cid][1] for cid in found}
+    return tuple(origin[cid][0] for cid in found), literal
 
 
-def as_pair(witness):
-    return None if witness is None else (witness.clause_ids, witness.literal)
+def as_pair(var, polarity, witness):
+    return None if witness is None else (witness, var if polarity else -var)
 
 
 @SETTINGS
@@ -67,16 +67,16 @@ def as_pair(witness):
 @example((F([1, 2], [1, -2], [3]), 1), 3)
 def test_witnesses_match_split_reference(case, k):
     f, var = case
-    verdict, _, witness = is_k_backbone(f, var, k)
+    verdict, polarity, witness = is_k_backbone(f, var, k)
     expected = split_reference(f, var, k)
     assert verdict == (expected is not None)
     if tt_satisfiable(f):
         # an unsatisfiable formula forces both polarities; there the split's
         # search takes the smaller witness of either reduct, while the
         # per-literal test keeps to -var first
-        assert as_pair(witness) == expected
-    _, _, witness = order_with_witness(f, var, k)
-    assert as_pair(witness) == expected
+        assert as_pair(var, polarity, witness) == expected
+    _, polarity, witness = order_with_witness(f, var, k)
+    assert as_pair(var, polarity, witness) == expected
 
 
 @SETTINGS
@@ -147,11 +147,12 @@ def _neighbors(star):
 def unpruned_minimum_search(formula, k):
     """sus_search without the variable bound or the pure-literal leaf
     filter, on sets instead of bitmasks: every connected subset of short
-    clauses, in the same order, gets the SAT test; clause ids or None."""
+    clauses, in the same order, gets the SAT test; ascending clause ids or
+    None."""
     star = _short_clauses(formula, k)
     for cid, c in star.items():
         if not c:
-            return frozenset((cid,))
+            return (cid,)
     if solve_sets(star.values()) is not None:
         return None
     neighbors = _neighbors(star)
@@ -159,7 +160,7 @@ def unpruned_minimum_search(formula, k):
     def extend(sub, banned, seed, target):
         if len(sub) == target:
             unsat = solve_sets([star[i] for i in sub]) is None
-            return frozenset(sub) if unsat else None
+            return tuple(sorted(sub)) if unsat else None
         frontier = set()
         for member in sub:
             frontier.update(neighbors[member])
@@ -187,12 +188,12 @@ def unpruned_minimum_search(formula, k):
 @example(F([1, 2], [], [-1]), 2)
 @example(F([1, 2], [-1, 2], [1, -2], [-1, -2]), 4)
 def test_minimum_search_matches_unpruned_enumeration(f, k):
-    witness = sus_search(f, k)
-    found = None if witness is None else witness.clause_ids
+    found = sus_search(f, k)
     assert found == unpruned_minimum_search(f, k)
     expected = brute_unsat_subset(f, k)
     assert (found is None) == (expected is None)
     if found is not None:
+        assert isinstance(found, tuple) and found == tuple(sorted(set(found)))
         assert len(found) == len(expected)
 
 
@@ -203,7 +204,7 @@ def test_search_witness_is_small_and_unsatisfiable(f, k):
     witness = sus_search(f, k)
     assert (witness is None) == (brute_unsat_subset(f, k) is None)
     if witness is not None:
-        sub = f.subset(witness.clause_ids)
+        sub = f.subset(witness)
         assert not tt_satisfiable(sub)
         assert len(sub) <= k
         assert len(sub.variables) <= k - 1
@@ -216,10 +217,9 @@ def test_search_witness_is_small_and_unsatisfiable(f, k):
 def test_search_witness_is_minimal_without_pure_literals(f, k):
     # the lemma behind sus_search's leaf filter: under iterative deepening
     # every witness is minimally unsatisfiable, hence has no pure literal
-    witness = sus_search(f, k)
-    if witness is None:
+    ids = sus_search(f, k)
+    if ids is None:
         return
-    ids = sorted(witness.clause_ids)
     assert not tt_satisfiable(f.subset(ids))
     for cid in ids:
         assert tt_satisfiable(f.subset([i for i in ids if i != cid]))

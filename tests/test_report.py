@@ -51,13 +51,12 @@ def test_orders_beyond_cutoff_are_marked():
     assert record["iterative_order"] == ">3"
 
 
-def test_report_deterministic_and_jobs_invariant():
+def test_report_deterministic():
     f = F([1], [-1, 2], [2, 3], [-3, 4], [1, 4])
     one = build_report(f, 4, instance="x")
     two = build_report(f, 4, instance="x")
-    pooled = build_report(f, 4, instance="x")
-    assert one.to_json() == two.to_json() == pooled.to_json()
-    assert one.to_csv() == two.to_csv() == pooled.to_csv()
+    assert one.to_json() == two.to_json()
+    assert one.to_csv() == two.to_csv()
 
 
 def test_csv_schema():

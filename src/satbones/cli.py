@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import traceback
-from typing import Optional
+from typing import Optional, Sequence
 
 from .backbones import (
     UnsatDetected,
@@ -53,6 +53,12 @@ def _write_output(text: str, path: Optional[str]) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _print_literals(literals: Sequence[int]) -> None:
+    for lit in literals:
+        print(lit)
+    print(f"total: {len(literals)}")
 
 
 def _excerpt(formula: CnfFormula, clause_ids: tuple[int, ...]) -> str:
@@ -98,9 +104,7 @@ def cmd_solve(args) -> int:
 def cmd_backbones(args) -> int:
     formula = _read_formula(args)
     found = full_backbones(formula)
-    for v in sorted(found):
-        print(f"{'' if found[v] else '-'}{v}")
-    print(f"total: {len(found)}")
+    _print_literals([v if found[v] else -v for v in sorted(found)])
     return EXIT_OK
 
 
@@ -130,9 +134,7 @@ def cmd_local(args) -> int:
         print(_excerpt(formula, witness))
         return EXIT_OK
     found = local_backbones(formula, args.k)
-    for v in sorted(found):
-        print(f"{'' if found[v] else '-'}{v}")
-    print(f"total: {len(found)}")
+    _print_literals([v if found[v] else -v for v in sorted(found)])
     return EXIT_OK
 
 
@@ -151,18 +153,14 @@ def cmd_iterative(args) -> int:
             return EXIT_OK
         print(f"variable {args.var} is not an iterative {args.k}-backbone")
         return EXIT_NO
-    for lit in result.forced:
-        print(lit)
-    print(f"total: {len(result.forced)}")
+    _print_literals(result.forced)
     return EXIT_OK
 
 
 def cmd_uc(args) -> int:
     formula = _read_formula(args)
     result = level_reduce(formula, args.k)
-    for lit in literal_order(result.forced):
-        print(lit)
-    print(f"total: {len(result.forced)}")
+    _print_literals(literal_order(result.forced))
     print(f"residual clauses: {len(result.residual)}")
     print(f"contradiction: {str(result.contradiction).lower()}")
     return EXIT_OK

@@ -1,15 +1,16 @@
 """Levelled generalized unit propagation.
 
-Level 0 collapses a formula to the single empty clause when it contains one
-and leaves it alone otherwise.  At level k > 0, while asserting the
-complement of some literal collapses at level k-1, that literal is forced
-and asserted; the fixpoint is returned.  Level 1 is exactly unit
-propagation, and it builds no reduct to probe a literal: F|-l contains the
-empty clause exactly when F contains the empty clause or the unit clause
-{l}, so level 1 reads the literals it may force off F's unit clauses and
-takes them in the same scan order.  The forced-literal sets grow with k and
-always over-approximate the literal sets found by iterative k-backbone
-computation (strictly so on some families).
+At every level k >= 0, while the formula holds no empty clause, the first
+literal in scan order whose complement, asserted, collapses at level k-1 is
+forced and asserted (level 0 forces nothing).  A formula that comes to hold
+the empty clause collapses to its smallest-id empty clause; otherwise the
+fixpoint is returned.  Level 1 is exactly unit propagation, and it builds no
+reduct to probe a literal: on a formula without the empty clause, F|-l
+contains the empty clause exactly when F contains the unit clause {l}, so
+level 1 reads the literals it may force off F's unit clauses and takes them
+in the same scan order.  The forced-literal sets grow with k on satisfiable
+inputs and always over-approximate the literal sets found by iterative
+k-backbone computation (strictly so on some families).
 """
 
 from __future__ import annotations
@@ -25,47 +26,36 @@ class LevelReduction(NamedTuple):
     contradiction: bool
 
 
-def _collapse(formula: CnfFormula) -> CnfFormula:
-    return formula.subset((formula.empty_clause_id(),))
-
-
 def _level(
     formula: CnfFormula,
     k: int,
     memo: dict[tuple[CnfFormula, int], LevelReduction],
 ) -> LevelReduction:
-    if k == 0:
-        if formula.has_empty_clause():
-            return LevelReduction(_collapse(formula), frozenset(), True)
-        return LevelReduction(formula, frozenset(), False)
     if (formula, k) in memo:
         return memo[formula, k]
     current = formula
     forced: set[int] = set()
-    progress = True
-    while progress:
-        progress = False
+    while (empty := current.empty_clause_id()) is None and k > 0:
         if k == 1:
-            # every candidate collapses at level 0 (see the module docstring)
-            if current.has_empty_clause():
-                candidates = current.literals
-            else:
-                candidates = {
-                    l for c in current.literal_sets() if len(c) == 1 for l in c
-                }
+            # the closed form of the level-0 probe: current holds no empty
+            # clause, so F|-l collapses exactly when {l} is a unit clause
+            candidates = literal_order(
+                l for c in current.literal_sets() if len(c) == 1 for l in c
+            )
         else:
-            candidates = current.literals
-        for lit in literal_order(candidates):
-            if k > 1:
-                probe = _level(current.reduct((-lit,)), k - 1, memo)
-                if not probe.contradiction:
-                    continue
-            forced.add(lit)
-            current = current.reduct((lit,))
-            progress = True
+            candidates = (
+                l
+                for l in literal_order(current.literals)
+                if _level(current.reduct((-l,)), k - 1, memo).contradiction
+            )
+        lit = next(iter(candidates), None)
+        if lit is None:
             break
+        forced.add(lit)
+        current = current.reduct((lit,))
+    residual = current if empty is None else current.subset((empty,))
     memo[formula, k] = result = LevelReduction(
-        current, frozenset(forced), current.has_empty_clause()
+        residual, frozenset(forced), empty is not None
     )
     return result
 
@@ -73,11 +63,13 @@ def _level(
 def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     """Apply the level-k forced assignments to the formula.
 
-    For k >= 1 the residual equals the reduct of the input by the forced
-    literals; the contradiction flag marks the empty-clause collapse.
-    Results are memoized for the length of one call (the recursion revisits
-    the same reducts heavily); the fixpoint is independent of the literal
-    scan order.
+    Without a contradiction the residual is the reduct of the input by the
+    forced literals.  With one, the forcing stops at the first empty clause:
+    the residual is that single clause, with its input id, and ``forced``
+    holds the literals forced before it.  Results are memoized for the
+    length of one call (the recursion revisits the same reducts heavily).
+    Without a contradiction the fixpoint is independent of the literal scan
+    order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

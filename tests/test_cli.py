@@ -144,6 +144,15 @@ def test_uc_output(chain_file, capsys):
     assert "contradiction: false" in out
 
 
+def test_uc_contradiction_lists_literals_forced_before_collapse(tmp_path, capsys):
+    path = tmp_path / "collapse.cnf"
+    path.write_text("p cnf 4 4\n1 0\n-1 2 0\n-2 0\n3 4 0\n")
+    assert main(["uc", str(path), "-k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "1", "2", "total: 2", "residual clauses: 1", "contradiction: true",
+    ]
+
+
 def test_generate_writes_instance_and_sidecar(tmp_path, capsys):
     target = tmp_path / "inst.cnf"
     code = main(

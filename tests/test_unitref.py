@@ -58,8 +58,9 @@ def test_level_one_matches_unit_propagation_random():
 
 
 def test_forced_sets_grow_with_level():
-    # on unsatisfiable inputs the collapse forces every literal with an
-    # order-dependent polarity, so growth is only meaningful when satisfiable
+    # on unsatisfiable inputs the forcing stops at the first empty clause,
+    # which a higher level may reach with fewer literals forced, so growth
+    # is only meaningful when satisfiable
     checked = 0
     for seed in range(60):
         f = random_formula("krom", 7, 9, seed)
@@ -72,10 +73,47 @@ def test_forced_sets_grow_with_level():
     assert checked >= 30
 
 
-def test_collapse_verdict_is_stable_even_if_polarities_are_not():
+def test_collapse_verdict_is_stable_across_levels():
     f = F([1, 2], [1, -2], [-1, 2], [-1, -2])
-    assert level_reduce(f, 2).contradiction
-    assert level_reduce(f, 3).contradiction
+    for k in (2, 3):
+        result = level_reduce(f, k)
+        assert result.contradiction
+        assert [c for _, c in result.residual.clauses()] == [frozenset()]
+
+
+def test_forcing_stops_at_the_first_empty_clause():
+    f = CnfFormula({1: [1], 2: [-1, 2], 3: [-2], 4: [3, 4]})
+    for k in (1, 2, 3):
+        result = level_reduce(f, k)
+        assert result.forced == {1, 2}
+        assert result.residual.clauses() == ((3, frozenset()),)
+        assert result.contradiction
+
+
+def test_input_with_empty_clause_forces_nothing():
+    f = CnfFormula({1: [1, -2], 2: [], 3: [2, 3], 4: [-3]})
+    for k in (0, 1, 2, 3):
+        result = level_reduce(f, k)
+        assert result.forced == frozenset()
+        assert result.residual.clause_ids() == (2,)
+        assert result.contradiction
+
+
+def test_collapse_builds_no_reduct(monkeypatch):
+    f = CnfFormula.from_clauses(
+        [[2 * i + 1, 2 * i + 2] for i in range(50)] + [[]]
+    )
+    calls = []
+    reduct = CnfFormula.reduct
+
+    def counted(self, literals):
+        calls.append(literals)
+        return reduct(self, literals)
+
+    monkeypatch.setattr(CnfFormula, "reduct", counted)
+    for k in (1, 2, 3):
+        assert level_reduce(f, k).residual.clause_ids() == (51,)
+    assert calls == []
 
 
 def test_cycle_is_caught_at_level_two():
@@ -117,8 +155,13 @@ def test_residual_is_reduct_by_forced():
         f = random_formula("krom", 7, 9, seed)
         for k in (1, 2):
             result = level_reduce(f, k)
-            assert result.residual == f.reduct(result.forced)
-            assert result.contradiction == result.residual.has_empty_clause()
+            if not result.contradiction:
+                assert result.residual == f.reduct(result.forced)
+                assert not result.residual.has_empty_clause()
+                continue
+            ((cid, clause),) = result.residual.clauses()
+            assert clause == frozenset()
+            assert cid in f
 
 
 def renamed(formula, rename):
@@ -164,28 +207,23 @@ def test_level_reduce_keeps_no_reference_to_its_input():
 
 def reference_level(formula, k, memo):
     """The levelled fixpoint with a reduct per probe: a literal l is tested
-    by building F|-l and reducing it at level k-1, at every level k >= 1."""
+    by building F|-l and reducing it at level k-1, at every level k >= 1.
+    At every level, a formula holding the empty clause collapses to it."""
+    if formula.has_empty_clause():
+        collapsed = formula.subset((formula.empty_clause_id(),))
+        return LevelReduction(collapsed, frozenset(), True)
     if k == 0:
-        if formula.has_empty_clause():
-            collapsed = formula.subset((formula.empty_clause_id(),))
-            return LevelReduction(collapsed, frozenset(), True)
         return LevelReduction(formula, frozenset(), False)
     if (formula, k) in memo:
         return memo[formula, k]
-    current = formula
-    forced = set()
-    progress = True
-    while progress:
-        progress = False
-        for lit in literal_order(current.literals):
-            if reference_level(current.reduct((-lit,)), k - 1, memo).contradiction:
-                forced.add(lit)
-                current = current.reduct((lit,))
-                progress = True
-                break
-    memo[formula, k] = result = LevelReduction(
-        current, frozenset(forced), current.has_empty_clause()
-    )
+    for lit in literal_order(formula.literals):
+        if reference_level(formula.reduct((-lit,)), k - 1, memo).contradiction:
+            rest = reference_level(formula.reduct((lit,)), k, memo)
+            result = rest._replace(forced=rest.forced | {lit})
+            break
+    else:
+        result = LevelReduction(formula, frozenset(), False)
+    memo[formula, k] = result
     return result
 
 
@@ -201,7 +239,7 @@ def oracle_draws():
     for seed in range(12):
         yield random_formula("3cnf", 8, 30 + 2 * seed, seed)
         yield random_formula("krom", 7, 9 + seed, seed)
-    # an input holding the empty clause forces every variable, in scan order
+    # an input holding the empty clause collapses at once and forces nothing
     yield CnfFormula({1: [1, -2], 2: [], 3: [2, 3], 4: [-3]})
 
 

@@ -32,7 +32,7 @@ from .solver import (
     solve,
     unit_propagate,
 )
-from .unitref import LevelReduction, forced_at_level, level_reduce
+from .unitref import LevelReduction, level_reduce
 from .unsat_subsets import sus_bruteforce, sus_search
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "classify",
     "emit_dimacs",
     "entails",
-    "forced_at_level",
     "full_backbones",
     "horn_consequences",
     "is_k_backbone",

@@ -134,7 +134,7 @@ def force_fixpoint(
     current = formula
     forced: list[int] = []
     while True:
-        if current.has_empty_clause():
+        if current.empty_clause_id() is not None:
             raise UnsatDetected("empty clause reached")
         new_literals = forced_in(current)
         if not new_literals:

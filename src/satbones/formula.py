@@ -126,9 +126,6 @@ class CnfFormula:
     def max_var(self) -> int:
         return max(self.variables, default=0)
 
-    def has_empty_clause(self) -> bool:
-        return any(not c for c in self._clauses.values())
-
     def empty_clause_id(self) -> Optional[int]:
         for cid, c in self._clauses.items():
             if not c:

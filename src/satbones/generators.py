@@ -296,7 +296,8 @@ def random_formula(
 
     Families: "3cnf" (width exactly 3), "krom" (width 2 with occasional
     units), "horn" (at most one positive literal), "definite_horn" (exactly
-    one positive), "vo" (every variable in at most d clauses, requires d).
+    one positive), "vo" (every variable in at most d clauses, requires d; no
+    other family takes d).
     ``min_width`` raises the smallest clause width, e.g. 2 for unit-free
     definite Horn.  Clauses are distinct; identical parameters and seed give
     identical formulas.
@@ -324,6 +325,8 @@ def random_formula(
             raise InfeasibleParameters(
                 f"{m} clauses of width >= {low} cannot fit {n} variables {d} times"
             )
+    elif d is not None:
+        raise InfeasibleParameters(f"family {family!r} takes no occurrence bound")
     occurrences: dict[int, int] = {v: 0 for v in range(1, n + 1)}
 
     def draw() -> Optional[frozenset[int]]:

@@ -53,13 +53,15 @@ def _propagate(
         clauses = _assert(clauses, unit)
 
 
-def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
-    """Depth-first splitting on the lowest variable, positive polarity first,
+def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
+    """SAT check on bare literal sets; returns a (partial) model or None.
+
+    Depth-first splitting on the lowest variable, positive polarity first,
     with unit propagation at every node.  Open branches live on an explicit
     stack, so no input can reach the recursion limit."""
     path: list[tuple[Assignment, int]] = []  # (units, branch literal) per level
     branches: list[tuple[list[frozenset[int]], Assignment, int, int]] = []
-    node = _propagate(clauses)
+    node = _propagate(list(clause_sets))
     while True:
         if node is not None:
             clauses, assign = node
@@ -81,17 +83,12 @@ def _dpll(clauses: list[frozenset[int]]) -> Optional[Assignment]:
         node = _propagate(_assert(clauses, lit))
 
 
-def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
-    """SAT check on bare literal sets; returns a (partial) model or None."""
-    return _dpll(list(clause_sets))
-
-
 def solve(formula: CnfFormula) -> Optional[Assignment]:
     """Complete SAT/UNSAT decision; on SAT the model is total on Var(formula).
 
     Unconstrained variables default to False so the result is reproducible.
     """
-    model = _dpll(list(formula.literal_sets()))
+    model = solve_sets(formula.literal_sets())
     if model is None:
         return None
     for v in formula.variables:
@@ -109,7 +106,7 @@ def unit_propagate(formula: CnfFormula) -> Propagation:
     forced: list[int] = []
     current = formula
     while True:
-        if current.has_empty_clause():
+        if current.empty_clause_id() is not None:
             return Propagation(tuple(forced), current, True)
         unit = 0
         for _, c in current.clauses():

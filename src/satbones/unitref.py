@@ -74,8 +74,3 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     if k < 0:
         raise ValueError("k must be >= 0")
     return _level(formula, k, {})
-
-
-def forced_at_level(formula: CnfFormula, k: int) -> frozenset[int]:
-    """The forced-literal set of level_reduce."""
-    return level_reduce(formula, k).forced

@@ -27,10 +27,6 @@ from .formula import CnfFormula
 from .solver import solve_sets
 
 
-def _is_unsat(clause_sets) -> bool:
-    return solve_sets(clause_sets) is None
-
-
 def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     """Minimum-cardinality unsatisfiable subset of size <= k, by enumeration.
 
@@ -44,13 +40,9 @@ def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     ids = formula.clause_ids()
     for size in range(1, min(k, len(ids)) + 1):
         for combo in itertools.combinations(ids, size):
-            if _is_unsat([formula.clause(cid) for cid in combo]):
+            if solve_sets([formula.clause(cid) for cid in combo]) is None:
                 return combo
     return None
-
-
-def _short_clauses(formula: CnfFormula, k: int) -> dict[int, frozenset[int]]:
-    return {cid: c for cid, c in formula.clauses() if len(c) < k}
 
 
 def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
@@ -67,8 +59,10 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     The short clauses are numbered 0..n-1 in ascending id order, and the
     subset, its frontier, the banned clauses and the subset's positive and
     negative variables are int bitmasks.  Candidates are taken lowest bit
-    first, which is ascending id order.  A seed bans every bit up to its
-    own, so only larger ids join it.
+    first, which is ascending id order.  The seeds are the empty subset's
+    extensions: at the root every short clause is a candidate, and the root
+    bans each clause before it tries the next, so only larger ids join a
+    seed.
 
     A subset of the target size gets the SAT test only if every variable in
     it occurs in both polarities.  This drops no unsatisfiable subset:
@@ -87,7 +81,7 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    star = _short_clauses(formula, k)
+    star = {cid: c for cid, c in formula.clauses() if len(c) < k}
     for cid, c in star.items():
         if not c:
             return (cid,)
@@ -112,6 +106,7 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
             neighbors[i] |= occurs[abs(l)]
         neighbors[i] &= ~(1 << i)
     variables = [p | n for p, n in zip(positive, negative)]
+    every = (1 << len(ids)) - 1
 
     def extend(
         sub: int, frontier: int, banned: int, pos: int, neg: int, size: int,
@@ -120,9 +115,9 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
         if size == target:
             if pos != neg:  # a pure literal: the subset is satisfiable
                 return None
-            unsat = _is_unsat([clauses[i] for i in _indices(sub)])
+            unsat = solve_sets([clauses[i] for i in _indices(sub)]) is None
             return sub if unsat else None
-        candidates = frontier & ~banned
+        candidates = (frontier if sub else every) & ~banned
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -139,14 +134,9 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
         return None
 
     for target in range(1, min(k, len(ids)) + 1):
-        for i in range(len(ids)):
-            if variables[i].bit_count() < target:
-                found = extend(
-                    1 << i, neighbors[i], (2 << i) - 1,
-                    positive[i], negative[i], 1, target,
-                )
-                if found is not None:
-                    return tuple(ids[j] for j in _indices(found))
+        found = extend(0, 0, 0, 0, 0, 0, target)
+        if found is not None:
+            return tuple(ids[j] for j in _indices(found))
     return None
 
 

@@ -22,7 +22,6 @@ from satbones import (
     backbone_split,
     build_report,
     classify,
-    forced_at_level,
     full_backbones,
     horn_consequences,
     is_k_backbone,
@@ -136,7 +135,7 @@ def test_criterion_03_unit_propagation_identity():
             continue
         expected = set(propagated.forced)
         assert set(iterative_k_backbones(formula, 1).forced) == expected
-        assert forced_at_level(formula, 1) == expected
+        assert level_reduce(formula, 1).forced == expected
         checked += 1
     _passed(3, "iterative level-1 forced set = unit propagation = level-1 "
                "reduction on 200 conflict-free formulas")
@@ -189,7 +188,7 @@ def test_criterion_06_cycle_family():
         assert iterative_order(formula, 1, n) == n
         for k in range(1, n):
             assert 1 not in iterative_k_backbones(formula, k).variables
-        assert -1 in forced_at_level(formula, 2)
+        assert -1 in level_reduce(formula, 2).forced
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _passed(6, f"cycle family n=4..8: backbone {{x1:-}}, order n, iterative "
@@ -288,7 +287,7 @@ def test_criterion_09_containment_chain():
             previous_local, previous_iterative = local, iterative
         for k in (2, 3):
             forced = set(iterative_k_backbones(formula, k).forced)
-            assert forced <= forced_at_level(formula, k)
+            assert forced <= level_reduce(formula, k).forced
     _passed(9, "local and iterative sets monotone and nested inside the full "
                "backbones, iterative forced literals inside the level-k "
                "forced sets, on 60 satisfiable instances")

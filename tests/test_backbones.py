@@ -63,7 +63,7 @@ def test_backbone_order_unknown_variable():
 
 def test_backbone_split_unit_formula():
     split, origin = backbone_split(F([1]), 1)
-    assert split.has_empty_clause()
+    assert split.empty_clause_id() is not None
     assert len(split) == 1
     (cid,) = split.clause_ids()
     assert origin[cid] == (1, 1)

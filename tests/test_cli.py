@@ -200,6 +200,14 @@ def test_generate_infeasible_exit(tmp_path, capsys):
                  "--occ", "2"]) == 2
 
 
+def test_generate_refuses_occurrence_bound_outside_vo(tmp_path, capsys):
+    target = tmp_path / "x.cnf"
+    assert main(["generate", "--family", "3cnf", "-n", "10", "-m", "30",
+                 "--occ", "3", "-o", str(target)]) == 2
+    assert "occurrence bound" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_csv(chain_file, capsys):
     assert main(["report", chain_file, "--kmax", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -48,7 +48,7 @@ def test_parse_percent_terminator():
 
 def test_parse_empty_clause_line():
     f = parse_dimacs("p cnf 1 2\n1 0\n0\n")
-    assert f.has_empty_clause()
+    assert f.empty_clause_id() is not None
 
 
 def test_malformed_header():

@@ -43,7 +43,7 @@ def test_literals_include_both_polarities():
 
 def test_empty_clause_allowed():
     f = F([])
-    assert f.has_empty_clause()
+    assert f.empty_clause_id() is not None
     assert f.empty_clause_id() == 1
     assert f.variables == frozenset()
 
@@ -61,7 +61,7 @@ def test_reduct_occurrence_removal():
 def test_reduct_produces_empty_clause():
     f = F([-1])
     reduced = f.reduct([1])
-    assert reduced.has_empty_clause()
+    assert reduced.empty_clause_id() is not None
     assert reduced.clause_ids() == (1,)
 
 
@@ -109,7 +109,9 @@ def test_reduct_equals_constructor_on_stripped_clauses(case):
     )
     assert reduced.clauses() == expected.clauses()
     assert reduced == expected and hash(reduced) == hash(expected)
-    assert reduced.has_empty_clause() == expected.has_empty_clause()
+    assert (reduced.empty_clause_id() is not None) == (
+        expected.empty_clause_id() is not None
+    )
     assert reduced.empty_clause_id() == expected.empty_clause_id()
     assert reduced.var_names == f.var_names
 

@@ -268,6 +268,14 @@ def test_random_formula_infeasible_parameters():
         random_formula("nonsense", 5, 5, 0)
 
 
+@pytest.mark.parametrize("family", ["3cnf", "krom", "horn", "definite_horn"])
+def test_random_formula_refuses_occurrence_bound_outside_vo(family):
+    # d bounds only family vo; elsewhere it would change the draw and be
+    # recorded in the sidecar while bounding nothing
+    with pytest.raises(InfeasibleParameters):
+        random_formula(family, 10, 30, 1, d=2)
+
+
 def test_phase_transition_ratio_mixes_verdicts():
     verdicts = {
         solve(random_formula("3cnf", 30, 128, seed)) is None

@@ -25,7 +25,6 @@ from satbones import (
 from satbones.backbones import backbone_orders, order_with_witness
 from satbones.generators import random_formula
 from satbones.solver import solve_sets
-from satbones.unsat_subsets import _short_clauses
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -149,7 +148,7 @@ def unpruned_minimum_search(formula, k):
     filter, on sets instead of bitmasks: every connected subset of short
     clauses, in the same order, gets the SAT test; ascending clause ids or
     None."""
-    star = _short_clauses(formula, k)
+    star = {cid: c for cid, c in formula.clauses() if len(c) < k}
     for cid, c in star.items():
         if not c:
             return (cid,)

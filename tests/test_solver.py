@@ -75,7 +75,7 @@ def test_unit_propagate_chain():
 def test_unit_propagate_conflict():
     result = unit_propagate(F([1], [-1]))
     assert result.conflict
-    assert result.residual.has_empty_clause()
+    assert result.residual.empty_clause_id() is not None
 
 
 def test_unit_propagate_no_units():

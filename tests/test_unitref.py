@@ -10,7 +10,6 @@ from satbones import (
     LevelReduction,
     UnsatDetected,
     entails,
-    forced_at_level,
     iterative_k_backbones,
     level_reduce,
     solve,
@@ -23,7 +22,7 @@ from satbones.generators import implication_cycle, random_formula
 
 
 def test_level_one_is_unit_propagation_chain():
-    assert forced_at_level(F([1], [-1, 2]), 1) == {1, 2}
+    assert level_reduce(F([1], [-1, 2]), 1).forced == {1, 2}
 
 
 def test_level_zero_forces_nothing():
@@ -53,7 +52,7 @@ def test_level_one_matches_unit_propagation_random():
         if propagated.conflict:
             continue
         checked += 1
-        assert forced_at_level(f, 1) == set(propagated.forced)
+        assert level_reduce(f, 1).forced == set(propagated.forced)
     assert checked >= 40
 
 
@@ -67,7 +66,7 @@ def test_forced_sets_grow_with_level():
         if solve(f) is None:
             continue
         checked += 1
-        sets = [forced_at_level(f, k) for k in (0, 1, 2, 3)]
+        sets = [level_reduce(f, k).forced for k in (0, 1, 2, 3)]
         for small, large in zip(sets, sets[1:]):
             assert small <= large
     assert checked >= 30
@@ -118,7 +117,7 @@ def test_collapse_builds_no_reduct(monkeypatch):
 
 def test_cycle_is_caught_at_level_two():
     for n in (4, 5, 6, 7, 8):
-        assert -1 in forced_at_level(implication_cycle(n), 2)
+        assert -1 in level_reduce(implication_cycle(n), 2).forced
 
 
 def test_iterative_forced_contained_in_level_forced():
@@ -131,13 +130,13 @@ def test_iterative_forced_contained_in_level_forced():
                 iterative = set(iterative_k_backbones(f, k).forced)
             except UnsatDetected:
                 continue
-            assert iterative <= forced_at_level(f, k)
+            assert iterative <= level_reduce(f, k).forced
 
 
 def test_strict_containment_on_cycle():
     f = implication_cycle(5)
     assert set(iterative_k_backbones(f, 2).forced) == set()
-    assert -1 in forced_at_level(f, 2)
+    assert -1 in level_reduce(f, 2).forced
 
 
 def test_forced_literals_are_entailed():
@@ -146,7 +145,7 @@ def test_forced_literals_are_entailed():
         if solve(f) is None:
             continue
         for k in (1, 2):
-            for lit in forced_at_level(f, k):
+            for lit in level_reduce(f, k).forced:
                 assert entails(f, lit)
 
 
@@ -157,7 +156,7 @@ def test_residual_is_reduct_by_forced():
             result = level_reduce(f, k)
             if not result.contradiction:
                 assert result.residual == f.reduct(result.forced)
-                assert not result.residual.has_empty_clause()
+                assert result.residual.empty_clause_id() is None
                 continue
             ((cid, clause),) = result.residual.clauses()
             assert clause == frozenset()
@@ -209,7 +208,7 @@ def reference_level(formula, k, memo):
     """The levelled fixpoint with a reduct per probe: a literal l is tested
     by building F|-l and reducing it at level k-1, at every level k >= 1.
     At every level, a formula holding the empty clause collapses to it."""
-    if formula.has_empty_clause():
+    if formula.empty_clause_id() is not None:
         collapsed = formula.subset((formula.empty_clause_id(),))
         return LevelReduction(collapsed, frozenset(), True)
     if k == 0:

@@ -200,3 +200,34 @@ def test_pure_literal_filter_keeps_sat_calls_few(monkeypatch):
     for seed in range(10):
         sus_search(random_formula("3cnf", 12, 70, seed), 6)
     assert len(calls) <= 1500
+
+
+@pytest.mark.parametrize(
+    "seed,literal,sat_calls,witness",
+    [
+        (1, 1, 1, None),  # the short clauses are satisfiable: one SAT call
+        (14, 2, 1, None),  # no leaf without a pure literal
+        (18, -1, 165, None),  # every target up to 5, no witness
+        (25, -8, 2, (25, 35, 40, 45)),
+        (13, 6, 2, (9, 10, 23, 27, 49)),
+        (16, -2, 5, (1, 6, 8, 20, 50)),
+    ],
+)
+def test_sus_search_sat_tests_exactly_these_leaves(
+    monkeypatch, seed, literal, sat_calls, witness
+):
+    # which leaves get the SAT test, pinned by their count on reducts of
+    # random 3-CNF 12/50: a connected subset reached from two seeds, or a
+    # leaf the filters should drop, changes the count even where the
+    # witness stays the same
+    calls = []
+    solve = unsat_subsets.solve_sets
+
+    def counted(clause_sets):
+        calls.append(None)
+        return solve(clause_sets)
+
+    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
+    formula = random_formula("3cnf", 12, 50, seed).reduct((literal,))
+    assert sus_search(formula, 5) == witness
+    assert len(calls) == sat_calls

@@ -172,6 +172,8 @@ def cmd_generate(args) -> int:
         if sidecar_path == args.output:
             raise ValueError(f"{args.output} is also the JSON sidecar's path")
     if args.family == "cycle":
+        if args.occ is not None:
+            raise InfeasibleParameters("family 'cycle' takes no occurrence bound")
         formula = implication_cycle(args.n)
         planted = {
             "backbone_variable": 1,

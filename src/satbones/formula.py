@@ -182,19 +182,15 @@ class CnfFormula:
             for c in self._clauses.values()
         )
 
-    @cached_property
-    def _key(self) -> tuple:
-        # ids are ascending on every construction path, and frozensets
-        # compare as sets and cache their hash
-        return tuple(self._clauses.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):
             return NotImplemented
-        return self._key == other._key
+        return self._clauses == other._clauses
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        # ids are ascending on every construction path, so equal formulas
+        # list their clauses in the same order
+        return hash(tuple(self._clauses.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(

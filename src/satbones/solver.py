@@ -25,7 +25,7 @@ class Propagation(NamedTuple):
     conflict: bool
 
 
-def _assert(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
+def _assert(clauses: Iterable[frozenset[int]], lit: int) -> list[frozenset[int]]:
     """The clauses under lit: drop those it satisfies, strip its complement."""
     complement = frozenset((-lit,))
     return [c - complement if -lit in c else c for c in clauses if lit not in c]
@@ -33,24 +33,23 @@ def _assert(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
 
 def _propagate(
     clauses: list[frozenset[int]],
-) -> Optional[tuple[list[frozenset[int]], Assignment]]:
+) -> tuple[Optional[list[frozenset[int]]], Assignment]:
     """Assert the first unit clause, again and again, until none is left.
 
-    Returns None on an empty clause, else the remaining clauses and the
-    units asserted."""
+    Stops at the first empty clause: while one is present, no unit fires.
+    Returns the remaining clauses (None on an empty clause) and the units
+    asserted, in firing order."""
     assign: Assignment = {}
-    while True:
-        unit = 0
+    while all(clauses):  # no clause is empty
         for c in clauses:
-            if not c:
-                return None
             if len(c) == 1:
-                (unit,) = c
+                (lit,) = c
                 break
-        if not unit:
+        else:
             return clauses, assign
-        assign[abs(unit)] = unit > 0
-        clauses = _assert(clauses, unit)
+        assign[abs(lit)] = lit > 0
+        clauses = _assert(clauses, lit)
+    return None, assign
 
 
 def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
@@ -61,10 +60,9 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
     stack, so no input can reach the recursion limit."""
     path: list[tuple[Assignment, int]] = []  # (units, branch literal) per level
     branches: list[tuple[list[frozenset[int]], Assignment, int, int]] = []
-    node = _propagate(list(clause_sets))
+    clauses, assign = _propagate(list(clause_sets))
     while True:
-        if node is not None:
-            clauses, assign = node
+        if clauses is not None:
             if not clauses:
                 model = dict(assign)
                 for units, lit in reversed(path):
@@ -80,7 +78,7 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
         clauses, assign, lit, depth = branches.pop()
         del path[depth:]
         path.append((assign, lit))
-        node = _propagate(_assert(clauses, lit))
+        clauses, assign = _propagate(_assert(clauses, lit))
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:
@@ -99,24 +97,13 @@ def solve(formula: CnfFormula) -> Optional[Assignment]:
 def unit_propagate(formula: CnfFormula) -> Propagation:
     """Close the formula under unit-clause consequences.
 
-    Unit clauses fire in ascending clause-id order.  ``conflict`` is set as
-    soon as an empty clause appears; ``residual`` is the reduct of the input
-    by the forced literals.
+    Unit clauses fire in ascending clause-id order, and none fires once an
+    empty clause is present (``conflict``); ``residual`` is the reduct of
+    the input by the forced literals.
     """
-    forced: list[int] = []
-    current = formula
-    while True:
-        if current.empty_clause_id() is not None:
-            return Propagation(tuple(forced), current, True)
-        unit = 0
-        for _, c in current.clauses():
-            if len(c) == 1:
-                (unit,) = c
-                break
-        if not unit:
-            return Propagation(tuple(forced), current, False)
-        forced.append(unit)
-        current = current.reduct((unit,))
+    clauses, assign = _propagate(list(formula.literal_sets()))
+    forced = tuple(v if value else -v for v, value in assign.items())
+    return Propagation(forced, formula.reduct(forced), clauses is None)
 
 
 def entails(formula: CnfFormula, literal: int) -> bool:

@@ -4,13 +4,16 @@ At every level k >= 0, while the formula holds no empty clause, the first
 literal in scan order whose complement, asserted, collapses at level k-1 is
 forced and asserted (level 0 forces nothing).  A formula that comes to hold
 the empty clause collapses to its smallest-id empty clause; otherwise the
-fixpoint is returned.  Level 1 is exactly unit propagation, and it builds no
-reduct to probe a literal: on a formula without the empty clause, F|-l
+fixpoint is returned.  Level 1 is exactly unit propagation, and it asserts
+nothing to probe a literal: on a formula without the empty clause, F|-l
 contains the empty clause exactly when F contains the unit clause {l}, so
 level 1 reads the literals it may force off F's unit clauses and takes them
-in the same scan order.  The forced-literal sets grow with k on satisfiable
-inputs and always over-approximate the literal sets found by iterative
-k-backbone computation (strictly so on some families).
+in the same scan order.  The probes at every level run on bare frozensets
+of clauses, asserted with the solver's ``_assert``; clause ids are needed
+only for the returned residual, which is one reduct of the input.  The
+forced-literal sets grow with k on satisfiable inputs and always
+over-approximate the literal sets found by iterative k-backbone computation
+(strictly so on some families).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .formula import CnfFormula, literal_order
+from .solver import _assert
 
 
 class LevelReduction(NamedTuple):
@@ -27,36 +31,36 @@ class LevelReduction(NamedTuple):
 
 
 def _level(
-    formula: CnfFormula,
+    clauses: frozenset[frozenset[int]],
     k: int,
-    memo: dict[tuple[CnfFormula, int], LevelReduction],
-) -> LevelReduction:
-    if (formula, k) in memo:
-        return memo[formula, k]
-    current = formula
-    forced: set[int] = set()
-    while (empty := current.empty_clause_id()) is None and k > 0:
+    memo: dict[
+        tuple[frozenset[frozenset[int]], int], tuple[tuple[int, ...], bool]
+    ],
+) -> tuple[tuple[int, ...], bool]:
+    """The literals forced at level k, in forcing order, and whether the
+    clauses come to hold the empty clause."""
+    if (clauses, k) in memo:
+        return memo[clauses, k]
+    current = clauses
+    forced: list[int] = []
+    while not (collapsed := frozenset() in current) and k > 0:
         if k == 1:
             # the closed form of the level-0 probe: current holds no empty
             # clause, so F|-l collapses exactly when {l} is a unit clause
-            candidates = literal_order(
-                l for c in current.literal_sets() if len(c) == 1 for l in c
-            )
+            candidates = literal_order(l for c in current if len(c) == 1 for l in c)
         else:
+            variables = {abs(l) for c in current for l in c}
             candidates = (
                 l
-                for l in literal_order(current.literals)
-                if _level(current.reduct((-l,)), k - 1, memo).contradiction
+                for l in literal_order(l for v in variables for l in (v, -v))
+                if _level(frozenset(_assert(current, -l)), k - 1, memo)[1]
             )
         lit = next(iter(candidates), None)
         if lit is None:
             break
-        forced.add(lit)
-        current = current.reduct((lit,))
-    residual = current if empty is None else current.subset((empty,))
-    memo[formula, k] = result = LevelReduction(
-        residual, frozenset(forced), empty is not None
-    )
+        forced.append(lit)
+        current = frozenset(_assert(current, lit))
+    memo[clauses, k] = result = tuple(forced), collapsed
     return result
 
 
@@ -66,11 +70,16 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     Without a contradiction the residual is the reduct of the input by the
     forced literals.  With one, the forcing stops at the first empty clause:
     the residual is that single clause, with its input id, and ``forced``
-    holds the literals forced before it.  Results are memoized for the
-    length of one call (the recursion revisits the same reducts heavily).
+    holds the literals forced before it.  The probes run on bare clause
+    sets, memoized for the length of one call (the recursion revisits the
+    same reducts heavily); only the returned residual carries clause ids.
     Without a contradiction the fixpoint is independent of the literal scan
     order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _level(formula, k, {})
+    forced, collapsed = _level(frozenset(formula.literal_sets()), k, {})
+    residual = formula.reduct(forced) if forced else formula
+    if collapsed:
+        residual = residual.subset((residual.empty_clause_id(),))
+    return LevelReduction(residual, frozenset(forced), collapsed)

@@ -208,6 +208,14 @@ def test_generate_refuses_occurrence_bound_outside_vo(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_refuses_occurrence_bound_for_cycle(tmp_path, capsys):
+    target = tmp_path / "c.cnf"
+    assert main(["generate", "--family", "cycle", "-n", "6",
+                 "--occ", "3", "-o", str(target)]) == 2
+    assert "family 'cycle' takes no occurrence bound" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_csv(chain_file, capsys):
     assert main(["report", chain_file, "--kmax", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -78,6 +78,15 @@ def test_unit_propagate_conflict():
     assert result.residual.empty_clause_id() is not None
 
 
+def test_unit_propagate_stops_at_the_first_empty_clause():
+    # {2} is still a unit clause once {-1} has become empty, but no unit
+    # fires after the conflict
+    result = unit_propagate(F([1], [2], [-1]))
+    assert result.forced == (1,)
+    assert result.conflict
+    assert result.residual.clauses() == ((2, frozenset({2})), (3, frozenset()))
+
+
 def test_unit_propagate_no_units():
     result = unit_propagate(F([1, 2]))
     assert result.forced == ()

@@ -15,6 +15,7 @@ from satbones import (
     solve,
     unit_propagate,
 )
+from satbones import unitref
 from satbones.cli import main
 from satbones.dimacs import emit_dimacs, parse_dimacs
 from satbones.formula import literal_order
@@ -103,16 +104,24 @@ def test_collapse_builds_no_reduct(monkeypatch):
         [[2 * i + 1, 2 * i + 2] for i in range(50)] + [[]]
     )
     calls = []
+    probes = []
     reduct = CnfFormula.reduct
+    assert_literal = unitref._assert
 
     def counted(self, literals):
         calls.append(literals)
         return reduct(self, literals)
 
+    def probe(clauses, lit):
+        probes.append(lit)
+        return assert_literal(clauses, lit)
+
     monkeypatch.setattr(CnfFormula, "reduct", counted)
+    monkeypatch.setattr(unitref, "_assert", probe)
     for k in (1, 2, 3):
         assert level_reduce(f, k).residual.clause_ids() == (51,)
     assert calls == []
+    assert probes == []
 
 
 def test_cycle_is_caught_at_level_two():

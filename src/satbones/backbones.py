@@ -3,8 +3,11 @@
 Every forcing question is one test: a literal is forced by at most k clauses
 exactly when the reduct by its complement (which keeps clause ids) has an
 unsatisfiable subset of at most k clauses.  ``backbone_split``, the paper's
-reduction to small unsatisfiable subsets, is kept and tested, not searched.
-``backbone_orders`` gives the report both orders from one search per backbone.
+reduction to small unsatisfiable subsets, is kept and tested, not searched:
+``is_k_backbone`` gives its search's answer, the minimum witness of either
+polarity (negative on a tie), and ``backbone_order`` and ``local_backbones``
+read it.  ``backbone_orders`` gives the report both orders from one search
+per backbone.
 """
 
 from __future__ import annotations
@@ -67,57 +70,39 @@ def is_k_backbone(
 ) -> tuple[bool, Optional[bool], Optional[tuple[int, ...]]]:
     """Decide whether var is forced by some subset of at most k clauses.
 
-    Returns (verdict, forced polarity, witness over original clause ids),
-    trying the negative polarity first; the witness is a minimum one for the
-    polarity found.
+    Returns (verdict, forced polarity, witness over original clause ids):
+    the minimum witness of either polarity, as a search of
+    ``backbone_split`` finds it.  A tie in size goes to the negative
+    polarity, so the positive one is searched only below the size of the
+    negative one's witness; only unsatisfiable input forces both.
     """
     _require_variable(formula, var)
-    for lit in (-var, var):
-        witness = _witness(formula, lit, k)
-        if witness is not None:
-            return True, lit > 0, witness
+    negative = _witness(formula, -var, k)
+    bound = k if negative is None else len(negative) - 1
+    positive = _witness(formula, var, bound) if bound else None
+    if positive is not None:
+        return True, True, positive
+    if negative is not None:
+        return True, False, negative
     return False, None, None
 
 
 def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
     """Size of a smallest subset forcing var, or None if it exceeds kmax."""
-    order, _, _ = order_with_witness(formula, var, kmax)
-    return order
-
-
-def order_with_witness(
-    formula: CnfFormula, var: int, kmax: int
-) -> tuple[Optional[int], Optional[bool], Optional[tuple[int, ...]]]:
-    """backbone_order plus the certifying minimum witness and polarity.
-
-    A tie in size goes to the negative polarity, so the positive one is
-    searched only below the size of the negative one's witness.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    _require_variable(formula, var)
-    negative = _witness(formula, -var, kmax)
-    bound = kmax if negative is None else len(negative) - 1
-    positive = _witness(formula, var, bound) if bound else None
-    if positive is not None:
-        return len(positive), True, positive
-    if negative is not None:
-        return len(negative), False, negative
-    return None, None, None
-
-
-def _forced_literals(formula: CnfFormula, k: int) -> list[int]:
-    """Literals forced by at most k clauses, in scan order."""
-    scan = literal_order(formula.literals)
-    return [lit for lit in scan if _witness(formula, lit, k) is not None]
+    _, _, witness = is_k_backbone(formula, var, kmax)
+    return len(witness) if witness else None
 
 
 def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
-    """All k-backbone variables with the polarity their witnesses certify
-    (the negative one, scanned last, if both are forced)."""
+    """All k-backbone variables with the polarity ``is_k_backbone`` gives."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return {abs(lit): lit > 0 for lit in _forced_literals(formula, k)}
+    found = {}
+    for var in sorted(formula.variables):
+        verdict, polarity, _ = is_k_backbone(formula, var, k)
+        if verdict:
+            found[var] = polarity
+    return found
 
 
 def force_fixpoint(
@@ -161,7 +146,13 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return force_fixpoint(formula, lambda current: _forced_literals(current, k))
+    return force_fixpoint(
+        formula,
+        lambda current: [
+            lit for lit in literal_order(current.literals)
+            if _witness(current, lit, k) is not None
+        ],
+    )
 
 
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
@@ -183,7 +174,7 @@ def backbone_orders(
 
     ``backbone`` is the full backbone of a satisfiable formula.  No subset
     entails its other polarity, so one minimum search per backbone literal
-    gives ``order_with_witness``'s witness.  Each unplaced literal keeps its
+    gives ``is_k_backbone``'s witness.  Each unplaced literal keeps its
     order in the residual, which only shrinks as entailed literals are
     asserted: at each k the literals of order <= k are asserted together and
     the rest searched again below their order, which reaches the fixpoint of

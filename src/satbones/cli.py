@@ -22,8 +22,8 @@ from .backbones import (
     iterative_k_backbones,
     local_backbones,
 )
-from .dimacs import DimacsError, emit_dimacs, parse_dimacs
-from .formula import CnfFormula, FormulaClassError, classify, literal_order
+from .dimacs import emit_dimacs, parse_dimacs
+from .formula import CnfFormula, classify, literal_order
 from .generators import InfeasibleParameters, implication_cycle, random_formula
 from .report import build_report
 from .solver import UnsatFormulaError, full_backbones, solve
@@ -306,13 +306,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (UnsatFormulaError, UnsatDetected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSAT
-    except (InfeasibleParameters, FormulaClassError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

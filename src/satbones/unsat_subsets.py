@@ -104,7 +104,6 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
             else:
                 negative[i] |= var_bit[-l]
             neighbors[i] |= occurs[abs(l)]
-        neighbors[i] &= ~(1 << i)
     variables = [p | n for p, n in zip(positive, negative)]
     every = (1 << len(ids)) - 1
 

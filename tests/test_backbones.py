@@ -51,6 +51,17 @@ def test_is_k_backbone_case_split():
     assert brute_k_backbone(F([1, 2], [1, -2]), 1, 2) == (2, True)
 
 
+def test_is_k_backbone_takes_the_smaller_witness_of_either_polarity():
+    # unsatisfiable input forces both polarities of 1: +1 by clause 1 alone,
+    # -1 by clauses 2 and 3; a search of backbone_split finds the smaller
+    f = F([1], [-1, 2], [-1, -2])
+    assert is_k_backbone(f, 1, 2) == (True, True, (1,))
+    assert local_backbones(f, 2)[1] is True
+    assert backbone_order(f, 1, 2) == 1
+    # a tie in size goes to the negative polarity
+    assert is_k_backbone(F([1], [-1]), 1, 2) == (True, False, (2,))
+
+
 def test_is_k_backbone_unknown_variable():
     with pytest.raises(ValueError):
         is_k_backbone(F([1]), 9, 1)

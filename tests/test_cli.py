@@ -114,6 +114,16 @@ def test_local_with_variable(chain_file, capsys):
     assert main(["local", chain_file, "-k", "1", "--var", "2"]) == 1
 
 
+def test_local_with_variable_prints_the_smaller_witness(tmp_path, capsys):
+    # unsatisfiable input forces both polarities; +1 has the smaller witness
+    path = tmp_path / "both.cnf"
+    path.write_text("p cnf 2 3\n1 0\n-1 2 0\n-1 -2 0\n")
+    assert main(["local", str(path), "-k", "2", "--var", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "variable 1 is a 2-backbone, polarity +", "  1: 1 0",
+    ]
+
+
 def test_local_listing(chain_file, capsys):
     assert main(["local", chain_file, "-k", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["1", "total: 1"]

@@ -2,11 +2,13 @@
 random formulas.
 
 The forcing test's reference is the paper's reduction: search the two-reduct
-split of the variable and map the witness back through the origin map.  The
-subset search's reference is the same enumeration on sets, without the
-variable bound or the pure-literal leaf filter, and its witnesses are checked
-to be minimally unsatisfiable.  The report's order phase is checked against
-the per-variable functions it replaces.  Examples are derandomized and no
+split of the variable and map the witness back through the origin map.
+``is_k_backbone`` must give that witness and its polarity on every formula,
+unsatisfiable ones included, where both polarities are forced.  The subset
+search's reference is the same enumeration on sets, without the variable
+bound or the pure-literal leaf filter, and its witnesses are checked to be
+minimally unsatisfiable.  The report's order phase is checked against
+``is_k_backbone`` and ``iterative_k_backbones``.  Examples are derandomized and no
 example database is kept, so runs are repeatable.
 """
 
@@ -22,7 +24,7 @@ from satbones import (
     local_backbones,
     sus_search,
 )
-from satbones.backbones import backbone_orders, order_with_witness
+from satbones.backbones import backbone_orders
 from satbones.generators import random_formula
 from satbones.solver import solve_sets
 
@@ -69,12 +71,6 @@ def test_witnesses_match_split_reference(case, k):
     verdict, polarity, witness = is_k_backbone(f, var, k)
     expected = split_reference(f, var, k)
     assert verdict == (expected is not None)
-    if tt_satisfiable(f):
-        # an unsatisfiable formula forces both polarities; there the split's
-        # search takes the smaller witness of either reduct, while the
-        # per-literal test keeps to -var first
-        assert as_pair(var, polarity, witness) == expected
-    _, polarity, witness = order_with_witness(f, var, k)
     assert as_pair(var, polarity, witness) == expected
 
 
@@ -83,13 +79,13 @@ def test_witnesses_match_split_reference(case, k):
 def test_order_and_polarity_match_brute_force(case, k):
     f, var = case
     expected = brute_k_backbone(f, var, k)
-    verdict, verdict_polarity, _ = is_k_backbone(f, var, k)
-    order, polarity, _ = order_with_witness(f, var, k)
+    verdict, polarity, witness = is_k_backbone(f, var, k)
     assert verdict == (expected is not None)
+    order = None if witness is None else len(witness)
     assert order == (None if expected is None else expected[0])
     if expected is not None and tt_satisfiable(f):
         # only a satisfiable formula forces a single polarity
-        assert polarity == verdict_polarity == expected[1]
+        assert polarity == expected[1]
 
 
 @SETTINGS
@@ -112,7 +108,7 @@ def test_backbone_orders_match_per_variable_references(f, kmax):
     backbone = full_backbones(f)
     witnesses, iterative = backbone_orders(f, backbone, kmax)
     assert witnesses == {
-        v: order_with_witness(f, v, kmax)[2] for v in sorted(backbone)
+        v: is_k_backbone(f, v, kmax)[2] for v in sorted(backbone)
     }
     expected = {}
     for k in range(1, kmax + 1):

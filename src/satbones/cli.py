@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
         return EXIT_NO
     lits = [v if model[v] else -v for v in sorted(model)]
     print("SATISFIABLE")
-    print("v " + " ".join(map(str, lits)) + " 0")
+    print(" ".join(["v", *map(str, lits), "0"]))
     return EXIT_OK
 
 

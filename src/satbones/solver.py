@@ -114,25 +114,34 @@ def entails(formula: CnfFormula, literal: int) -> bool:
 def full_backbones(formula: CnfFormula) -> dict[int, bool]:
     """All variables with one truth value across all models, with that value.
 
+    One SAT test per candidate literal l: l is a backbone literal exactly
+    when F ∧ ¬l is unsatisfiable.  Each backbone literal proven is asserted
+    into the working clauses: every model of F sets it, so the later tests
+    stay exact and run on a smaller formula.  The candidates are the
+    variables the first model assigns, with their values; a counter-model
+    drops every candidate it flips or leaves unassigned, since a variable a
+    model leaves unassigned takes either value.
+
     Raises UnsatFormulaError on unsatisfiable input: under the subset-based
     definition every variable of an unsatisfiable formula would qualify, and
     we surface that degenerate case instead of reporting it.
     """
-    model = solve(formula)
-    if model is None:
+    clauses = list(formula.literal_sets())
+    candidates = solve_sets(clauses)
+    if candidates is None:
         raise UnsatFormulaError("formula is unsatisfiable; backbones undefined")
     result: dict[int, bool] = {}
-    candidates = dict(model)
-    for v in sorted(formula.variables):
+    for v in sorted(candidates):
         if v not in candidates:
             continue
         lit = v if candidates[v] else -v
-        counter = solve_sets(formula.literal_sets() + (frozenset((-lit,)),))
+        counter = solve_sets(clauses + [frozenset((-lit,))])
         if counter is None:
             result[v] = lit > 0
+            clauses = _assert(clauses, lit)
         else:
-            # counterexample model also rules out other candidates it flips
+            # the counter-model rules out every candidate it flips or leaves free
             for u in list(candidates):
-                if u in counter and counter[u] != candidates[u]:
+                if counter.get(u) != candidates[u]:
                     del candidates[u]
     return result

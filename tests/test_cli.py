@@ -63,6 +63,13 @@ def test_solve_exit_codes(chain_file, unsat_file, capsys):
     assert main(["solve", unsat_file]) == 1
 
 
+def test_solve_prints_a_variable_free_model_with_one_space(tmp_path, capsys):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 0 0\n")
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["SATISFIABLE", "v 0"]
+
+
 def test_unexpected_exception_exits_with_internal_code(
     chain_file, capsys, monkeypatch
 ):

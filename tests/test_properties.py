@@ -8,15 +8,24 @@ unsatisfiable ones included, where both polarities are forced.  The subset
 search's reference is the same enumeration on sets, without the variable
 bound or the pure-literal leaf filter, and its witnesses are checked to be
 minimally unsatisfiable.  The report's order phase is checked against
-``is_k_backbone`` and ``iterative_k_backbones``.  Examples are derandomized and no
-example database is kept, so runs are repeatable.
+``is_k_backbone`` and ``iterative_k_backbones``, and ``full_backbones``
+against the truth table.  Examples are derandomized and no example database
+is kept, so runs are repeatable.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import F, brute_k_backbone, brute_unsat_subset, tt_satisfiable
+from conftest import (
+    F,
+    brute_k_backbone,
+    brute_unsat_subset,
+    tt_backbones,
+    tt_satisfiable,
+)
 from satbones import (
+    UnsatFormulaError,
     backbone_split,
     full_backbones,
     is_k_backbone,
@@ -97,6 +106,18 @@ def test_local_backbones_collect_accepted_variables(f, k):
         if verdict:
             expected[v] = polarity
     assert local_backbones(f, k) == expected
+
+
+@SETTINGS
+@given(formulas())
+@example(F([1, 2], [1, -2], [-1, 3], [3, 4]))
+@example(F([-1, 2]))
+def test_full_backbones_match_truth_table(f):
+    if tt_satisfiable(f):
+        assert full_backbones(f) == tt_backbones(f)
+    else:
+        with pytest.raises(UnsatFormulaError):
+            full_backbones(f)
 
 
 @SETTINGS

@@ -8,11 +8,13 @@ from satbones import (
     entails,
     full_backbones,
     solve,
+    solver,
     unit_propagate,
 )
 from satbones.cli import main
 from satbones.dimacs import emit_dimacs
 from satbones.generators import implication_cycle, random_formula
+from satbones.solver import solve_sets
 
 
 def test_solve_contradiction():
@@ -152,14 +154,53 @@ def test_full_backbones_unsat_input_raises():
 
 
 def test_full_backbones_matches_enumeration_random():
-    checked = 0
+    checked = found = 0
     for seed in range(60):
-        f = random_formula("3cnf", 7, 18, seed)
-        if solve(f) is None:
+        f = random_formula("3cnf", 8, 34, seed)
+        if not tt_satisfiable(f):
             continue
         checked += 1
-        assert full_backbones(f) == tt_backbones(f)
-    assert checked >= 20
+        backbone = full_backbones(f)
+        assert backbone == tt_backbones(f)
+        found += len(backbone)
+    assert checked >= 40
+    assert found >= 200
+
+
+def _recording_solve_sets(monkeypatch):
+    """Route full_backbones' SAT calls through a recorder; returns the log
+    of (clause list, returned model) pairs."""
+    calls = []
+
+    def record(clause_sets):
+        clauses = list(clause_sets)
+        model = solve_sets(clauses)
+        calls.append((clauses, model))
+        return model
+
+    monkeypatch.setattr(solver, "solve_sets", record)
+    return calls
+
+
+def test_full_backbones_asserts_each_proven_backbone(monkeypatch):
+    calls = _recording_solve_sets(monkeypatch)
+    f = F([1, 2], [1, -2], [-1, 3], [3, 4])
+    assert full_backbones(f) == {1: True, 3: True}
+    proof = next(
+        i for i, (clauses, model) in enumerate(calls)
+        if model is None and frozenset((-1,)) in clauses
+    )
+    later = calls[proof + 1 :]
+    assert later
+    assert all(abs(lit) != 1 for clauses, _ in later for c in clauses for lit in c)
+
+
+def test_full_backbones_skips_a_variable_the_model_leaves_free(monkeypatch):
+    # the counter-model of x1 sets x1 = False, which satisfies the clause
+    # and leaves x2 unassigned: x2 is free and gets no SAT test of its own
+    calls = _recording_solve_sets(monkeypatch)
+    assert full_backbones(F([-1, 2])) == {}
+    assert len(calls) == 2
 
 
 # `satbones solve` output on random_formula("3cnf", 30, 120, seed); None

@@ -226,59 +226,33 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="satbones",
-        description="Backbone and small-unsatisfiable-subset analysis of CNF formulas",
+def _add_input(p) -> None:
+    p.add_argument("path", help="DIMACS CNF file")
+    p.add_argument(
+        "--drop-tautologies",
+        action="store_true",
+        help="drop tautological clauses with a diagnostic "
+        "(default: reject them)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
-        p.add_argument("path", help="DIMACS CNF file")
-        p.add_argument(
-            "--drop-tautologies",
-            action="store_true",
-            help="drop tautological clauses with a diagnostic "
-            "(default: reject them)",
-        )
 
-    p = sub.add_parser("classify", help="formula class flags and counts")
-    add_input(p)
+def _add_k(p) -> None:
+    _add_input(p)
+    p.add_argument("-k", "--k", type=int, required=True)
+
+
+def _add_k_var(p) -> None:
+    _add_k(p)
+    p.add_argument("--var", type=int)
+
+
+def _add_classify(p) -> None:
+    _add_input(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("solve", help="SAT/UNSAT with a model")
-    add_input(p)
-    p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("backbones", help="all backbone variables")
-    add_input(p)
-    p.set_defaults(handler=cmd_backbones)
-
-    p = sub.add_parser("sus", help="minimum unsatisfiable subset")
-    add_input(p)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.set_defaults(handler=cmd_sus)
-
-    p = sub.add_parser("local", help="k-backbones")
-    add_input(p)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.add_argument("--var", type=int)
-    p.set_defaults(handler=cmd_local)
-
-    p = sub.add_parser("iterative", help="iterative k-backbones")
-    add_input(p)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.add_argument("--var", type=int)
-    p.set_defaults(handler=cmd_iterative)
-
-    p = sub.add_parser("uc", help="level-k generalized unit propagation")
-    add_input(p)
-    p.add_argument("-k", "--k", type=int, required=True)
-    p.set_defaults(handler=cmd_uc)
-
-    p = sub.add_parser("generate", help="write instance plus JSON sidecar")
+def _add_generate(p) -> None:
     p.add_argument(
         "--family",
         required=True,
@@ -290,20 +264,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--occ", type=int, help="occurrence bound for family vo")
     p.add_argument("--min-width", type=int, default=1)
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("report", help="backbone order distribution")
-    add_input(p)
+
+def _add_report(p) -> None:
+    _add_input(p)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_report)
 
+
+# subcommand -> (help, function adding its arguments); the handler of each is
+# cmd_<name>, looked up when its parser is built, so that a cmd_<name>
+# replaced on the module is the one that runs
+COMMANDS = {
+    "classify": ("formula class flags and counts", _add_classify),
+    "solve": ("SAT/UNSAT with a model", _add_input),
+    "backbones": ("all backbone variables", _add_input),
+    "sus": ("minimum unsatisfiable subset", _add_k),
+    "local": ("k-backbones", _add_k_var),
+    "iterative": ("iterative k-backbones", _add_k_var),
+    "uc": ("level-k generalized unit propagation", _add_k),
+    "generate": ("write instance plus JSON sidecar", _add_generate),
+    "report": ("backbone order distribution", _add_report),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="satbones",
+        description="Backbone and small-unsatisfiable-subset analysis of CNF formulas",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # only the named subcommand's parser is built; the full parser prints
+    # the usage of help, of a missing or unknown command and of leftovers
+    if argv is None:
+        argv = sys.argv[1:]
+    args = None
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (UnsatFormulaError, UnsatDetected) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -261,3 +262,149 @@ def test_report_open_formula(tmp_path, capsys):
     assert main(["report", str(path), "--kmax", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1:] == ["1,0.0,0.0", "2,0.0,0.0"]
+
+
+FULL_USAGE = """\
+usage: satbones [-h]
+                {classify,solve,backbones,sus,local,iterative,uc,generate,report}
+                ...
+"""
+REPORT_USAGE = """\
+usage: satbones report [-h] [--drop-tautologies] [--kmax KMAX]
+                       [--format {json,csv}] [-o OUTPUT]
+                       path
+"""
+FULL_HELP = FULL_USAGE + """
+Backbone and small-unsatisfiable-subset analysis of CNF formulas
+
+positional arguments:
+  {classify,solve,backbones,sus,local,iterative,uc,generate,report}
+    classify            formula class flags and counts
+    solve               SAT/UNSAT with a model
+    backbones           all backbone variables
+    sus                 minimum unsatisfiable subset
+    local               k-backbones
+    iterative           iterative k-backbones
+    uc                  level-k generalized unit propagation
+    generate            write instance plus JSON sidecar
+    report              backbone order distribution
+
+options:
+  -h, --help            show this help message and exit
+"""
+REPORT_HELP = REPORT_USAGE + """
+positional arguments:
+  path                  DIMACS CNF file
+
+options:
+  -h, --help            show this help message and exit
+  --drop-tautologies    drop tautological clauses with a diagnostic (default:
+                        reject them)
+  --kmax KMAX
+  --format {json,csv}
+  -o OUTPUT, --output OUTPUT
+"""
+UNIT_REPORT_KMAX_3 = """\
+{
+  "backbone_count": 1,
+  "curve": [
+    {
+      "k": 1,
+      "pct_iter_leq_k": 100.0,
+      "pct_order_leq_k": 100.0
+    },
+    {
+      "k": 2,
+      "pct_iter_leq_k": 100.0,
+      "pct_order_leq_k": 100.0
+    },
+    {
+      "k": 3,
+      "pct_iter_leq_k": 100.0,
+      "pct_order_leq_k": 100.0
+    }
+  ],
+  "instance": "unit.cnf",
+  "kmax": 3,
+  "length": 1,
+  "n_clauses": 1,
+  "n_vars": 1,
+  "schema_version": 1,
+  "variable_names": {},
+  "variables": [
+    {
+      "is_backbone": true,
+      "iterative_order": 1,
+      "order": 1,
+      "polarity": "+",
+      "variable": 1,
+      "witness": [
+        1
+      ]
+    }
+  ]
+}
+"""
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", FULL_USAGE + "satbones: error: the following arguments "
+         "are required: command\n"),
+        (["-h"], 0, FULL_HELP, ""),
+        (["rep"], 2, "", FULL_USAGE + "satbones: error: argument command: "
+         "invalid choice: 'rep' (choose from 'classify', 'solve', 'backbones', "
+         "'sus', 'local', 'iterative', 'uc', 'generate', 'report')\n"),
+        (["report", "-h"], 0, REPORT_HELP, ""),
+        (["report", "F", "--bogus"], 2, "",
+         FULL_USAGE + "satbones: error: unrecognized arguments: --bogus\n"),
+        (["report", "F", "--km", "3"], 0, UNIT_REPORT_KMAX_3, ""),
+        (["report", "F", "--kmax", "x"], 2, "", REPORT_USAGE +
+         "satbones report: error: argument --kmax: invalid int value: 'x'\n"),
+        (["report", "F", "--format", "xml"], 2, "", REPORT_USAGE +
+         "satbones report: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'json', 'csv')\n"),
+        (["sus", "F", "-k3"], 1,
+         "no unsatisfiable subset of at most 3 clauses\n", ""),
+        (["local", "F", "-k", "2", "--va", "1"], 0,
+         "variable 1 is a 2-backbone, polarity +\n  1: 1 0\n", ""),
+    ],
+)
+def test_parser_output_is_pinned(
+    argv, code, out, err, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "unit.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    argv = [str(path) if arg == "F" else arg for arg in argv]
+    assert _exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == err
+
+
+def test_main_builds_only_the_named_subparser(chain_file, capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["report", chain_file]) == 0
+    assert names == ["report"]
+    names.clear()
+    cli.build_parser()
+    assert names == list(cli.COMMANDS)
+    names.clear()
+    assert _exit_code(["-h"]) == 0
+    assert len(names) == 9

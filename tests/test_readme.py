@@ -1,8 +1,11 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+the README and the CLI name the same subcommands."""
 
 import ast
 import pathlib
 import re
+
+from satbones import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +28,10 @@ def test_library_example_matches_its_comments():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     model = {1: False, 2: True, 3: True, 4: True, 5: True, 6: True}
     assert _example_values(block) == [model, 6, 6, 1]
+
+
+def test_cli_docs_name_the_command_table():
+    (block,) = re.findall(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    assert re.findall(r"^satbones (\w+)", block, re.M) == list(cli.COMMANDS)
+    (listed,) = re.findall(r"Subcommands: (.*?)\.", cli.__doc__, re.S)
+    assert re.split(r",\s+", listed) == list(cli.COMMANDS)

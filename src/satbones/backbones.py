@@ -156,13 +156,19 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
 
 
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
-    """Smallest k <= kmax at which var joins the iterative k-backbones."""
+    """Smallest k <= kmax at which var joins the iterative k-backbones.
+
+    Level k starts from level k-1's residual: the forced sets grow with k,
+    and asserting a forced literal keeps every other forcing subset."""
     _require_variable(formula, var)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    current = formula
     for k in range(1, kmax + 1):
-        if var in iterative_k_backbones(formula, k).variables:
+        result = iterative_k_backbones(current, k)
+        if var in result.variables:
             return k
+        current = current.reduct(result.forced)
     return None
 
 

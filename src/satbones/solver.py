@@ -57,28 +57,22 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
 
     Depth-first splitting on the lowest variable, positive polarity first,
     with unit propagation at every node.  Open branches live on an explicit
-    stack, so no input can reach the recursion limit."""
-    path: list[tuple[Assignment, int]] = []  # (units, branch literal) per level
-    branches: list[tuple[list[frozenset[int]], Assignment, int, int]] = []
-    clauses, assign = _propagate(list(clause_sets))
+    stack, each with the partial model of its node, so no input can reach
+    the recursion limit."""
+    branches: list[tuple[list[frozenset[int]], Assignment, int]] = []
+    clauses, model = _propagate(list(clause_sets))
     while True:
         if clauses is not None:
             if not clauses:
-                model = dict(assign)
-                for units, lit in reversed(path):
-                    model.update(units)
-                    model[abs(lit)] = lit > 0
                 return model
             v = min(map(abs, chain.from_iterable(clauses)))
-            depth = len(path)
-            branches.append((clauses, assign, -v, depth))
-            branches.append((clauses, assign, v, depth))
+            branches.append((clauses, model, -v))
+            branches.append((clauses, model, v))
         if not branches:
             return None
-        clauses, assign, lit, depth = branches.pop()
-        del path[depth:]
-        path.append((assign, lit))
-        clauses, assign = _propagate(_assert(clauses, lit))
+        clauses, model, lit = branches.pop()
+        clauses, units = _propagate(_assert(clauses, lit))
+        model = {**model, abs(lit): lit > 0, **units}
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:

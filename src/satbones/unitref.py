@@ -8,12 +8,16 @@ fixpoint is returned.  Level 1 is exactly unit propagation, and it asserts
 nothing to probe a literal: on a formula without the empty clause, F|-l
 contains the empty clause exactly when F contains the unit clause {l}, so
 level 1 reads the literals it may force off F's unit clauses and takes them
-in the same scan order.  The probes at every level run on bare frozensets
-of clauses, asserted with the solver's ``_assert``; clause ids are needed
-only for the returned residual, which is one reduct of the input.  The
-forced-literal sets grow with k on satisfiable inputs and always
-over-approximate the literal sets found by iterative k-backbone computation
-(strictly so on some families).
+in the same scan order.  A level k >= 3 at least the variable count tests
+each probe with one SAT call instead of recursing: the probe has fewer than
+k variables, and a level at least a clause set's variable count collapses
+exactly the unsatisfiable ones (hardness is at most the number of
+variables).  The probes at every level run on bare frozensets of clauses,
+asserted with the solver's ``_assert``; clause ids are needed only for the
+returned residual, which is one reduct of the input.  The forced-literal
+sets grow with k on satisfiable inputs and always over-approximate the
+literal sets found by iterative k-backbone computation (strictly so on some
+families).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .formula import CnfFormula, literal_order
-from .solver import _assert
+from .solver import _assert, solve_sets
 
 
 class LevelReduction(NamedTuple):
@@ -50,10 +54,17 @@ def _level(
             candidates = literal_order(l for c in current if len(c) == 1 for l in c)
         else:
             variables = {abs(l) for c in current for l in c}
+            # at or above the variable count one SAT call decides each probe;
+            # level 2 keeps level 1's closed form, which is cheaper still
+            exact = k > 2 and k >= len(variables)
             candidates = (
                 l
                 for l in literal_order(l for v in variables for l in (v, -v))
-                if _level(frozenset(_assert(current, -l)), k - 1, memo)[1]
+                if (
+                    solve_sets(_assert(current, -l)) is None
+                    if exact
+                    else _level(frozenset(_assert(current, -l)), k - 1, memo)[1]
+                )
             )
         lit = next(iter(candidates), None)
         if lit is None:

@@ -25,11 +25,14 @@ from conftest import (
     tt_satisfiable,
 )
 from satbones import (
+    UnsatDetected,
     UnsatFormulaError,
     backbone_split,
     full_backbones,
     is_k_backbone,
     iterative_k_backbones,
+    iterative_order,
+    level_reduce,
     local_backbones,
     sus_search,
 )
@@ -136,6 +139,73 @@ def test_backbone_orders_match_per_variable_references(f, kmax):
         for v in sorted(iterative_k_backbones(f, k).variables):
             expected.setdefault(v, k)
     assert iterative == expected
+
+
+@SETTINGS
+@given(formula_and_variable(), st.integers(1, 4))
+@example((F([1, 2], [1, -2], [-1, 2], [-1, -2]), 1), 4)
+@example((F([1], [2, 3], [2, -3], [-2, 3], [-2, -3]), 1), 3)
+def test_iterative_order_matches_levels_from_scratch(case, kmax):
+    f, var = case
+
+    def from_scratch():
+        for k in range(1, kmax + 1):
+            if var in iterative_k_backbones(f, k).variables:
+                return k
+        return None
+
+    try:
+        expected = from_scratch()
+    except UnsatDetected:
+        with pytest.raises(UnsatDetected):
+            iterative_order(f, var, kmax)
+    else:
+        assert iterative_order(f, var, kmax) == expected
+
+
+@SETTINGS
+@given(formulas(), st.integers(0, 1))
+def test_level_at_the_variable_count_forces_the_backbone(f, extra):
+    # hardness is at most the variable count: at that level the probes are
+    # exact, so the forced literals are the backbone, or the input collapses
+    result = level_reduce(f, len(f.variables) + extra)
+    if tt_satisfiable(f):
+        backbone = tt_backbones(f)
+        assert not result.contradiction
+        assert result.forced == {v if backbone[v] else -v for v in backbone}
+    else:
+        assert result.contradiction
+
+
+def assert_model_or_unsat(f):
+    """solve_sets returns None exactly on unsatisfiable input, and otherwise
+    a partial model that makes a literal of every clause true: full_backbones
+    drops every variable a model leaves unassigned, which is sound only then.
+    Returns whether the model is partial (None when unsatisfiable)."""
+    model = solve_sets(f.literal_sets())
+    assert (model is None) == (not tt_satisfiable(f))
+    if model is None:
+        return None
+    assert all(
+        any(model.get(abs(l)) == (l > 0) for l in c) for c in f.literal_sets()
+    )
+    return model.keys() < f.variables
+
+
+@SETTINGS
+@given(formulas())
+def test_solve_sets_model_satisfies_every_clause(f):
+    assert_model_or_unsat(f)
+
+
+def test_solve_sets_partial_models_near_the_threshold():
+    # 3-CNF 10/43 sits at the satisfiability threshold, so the DPLL
+    # backtracks, and some of its models leave variables unassigned
+    outcomes = {
+        assert_model_or_unsat(random_formula("3cnf", 10, 43, seed))
+        for seed in range(60)
+    }
+    assert outcomes == {None, False, True}
 
 
 def test_iterative_orders_can_beat_orders_beyond_kmax():

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -127,6 +128,20 @@ def test_collapse_builds_no_reduct(monkeypatch):
 def test_cycle_is_caught_at_level_two():
     for n in (4, 5, 6, 7, 8):
         assert -1 in level_reduce(implication_cycle(n), 2).forced
+
+
+def test_level_at_the_variable_count_probes_without_recursion():
+    # at a level of at least the variable count each probe is one SAT call,
+    # so a long cycle at its own order stays far below the recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        result = level_reduce(implication_cycle(200), 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.forced == {-1}
+    assert len(result.residual.clause_ids()) == 198
+    assert not result.contradiction
 
 
 def test_iterative_forced_contained_in_level_forced():

@@ -103,12 +103,12 @@ def test_witness_monotone_in_k():
             assert not tt_satisfiable(f.subset(again))
 
 
-def test_vo_search_unit_pair():
+def test_sus_search_bounded_occurrence_unit_pair():
     w = sus_search(F([1], [-1]), 2)
     assert w == (1, 2)
 
 
-def test_vo_search_finds_witness_in_each_component():
+def test_sus_search_bounded_occurrence_witness_in_each_component():
     # two variable-disjoint contradictions
     f = F([1], [-1, 2], [-2], [3], [-3])
     w = sus_search(f, 3)
@@ -119,7 +119,7 @@ def test_vo_search_finds_witness_in_each_component():
     assert sus_search(g, 3) == (4, 5)
 
 
-def test_vo_search_verdict_matches_bruteforce():
+def test_sus_search_bounded_occurrence_matches_bruteforce():
     # the bounded-occurrence family needs no search of its own
     checked = 0
     for seed in range(120):

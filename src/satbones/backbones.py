@@ -2,12 +2,11 @@
 
 Every forcing question is one test: a literal is forced by at most k clauses
 exactly when the reduct by its complement (which keeps clause ids) has an
-unsatisfiable subset of at most k clauses.  ``backbone_split``, the paper's
-reduction to small unsatisfiable subsets, is kept and tested, not searched:
-``is_k_backbone`` gives its search's answer, the minimum witness of either
-polarity (negative on a tie), and ``backbone_order`` and ``local_backbones``
-read it.  ``backbone_orders`` gives the report both orders from one search
-per backbone.
+unsatisfiable subset of at most k clauses.  ``is_k_backbone`` answers it for
+one variable with the minimum witness of either polarity (negative on a
+tie), whose size is the variable's order, and ``local_backbones`` collects
+the variables it accepts.  ``backbone_orders`` gives the report both orders
+from one search per backbone.
 """
 
 from __future__ import annotations
@@ -32,33 +31,6 @@ def _require_variable(formula: CnfFormula, var: int) -> None:
         raise ValueError(f"variable {var} not in formula")
 
 
-def backbone_split(
-    formula: CnfFormula, var: int
-) -> tuple[CnfFormula, dict[int, tuple[int, int]]]:
-    """Union of the two reducts of the formula on var, variable-disjoint.
-
-    Returns the combined formula plus an origin map: new clause id ->
-    (original clause id, literal certified by a witness containing it).
-    The formula has an unsatisfiable subset of size <= k exactly when var is
-    a k-backbone.
-    """
-    _require_variable(formula, var)
-    offset = formula.max_var
-    combined: dict[int, frozenset[int]] = {}
-    origin: dict[int, tuple[int, int]] = {}
-    new_id = 1
-    for cid, c in formula.reduct((var,)).clauses():
-        combined[new_id] = c
-        origin[new_id] = (cid, -var)
-        new_id += 1
-    for cid, c in formula.reduct((-var,)).clauses():
-        shifted = frozenset(l + offset if l > 0 else l - offset for l in c)
-        combined[new_id] = shifted
-        origin[new_id] = (cid, var)
-        new_id += 1
-    return CnfFormula(combined), origin
-
-
 def _witness(formula: CnfFormula, lit: int, k: int) -> Optional[tuple[int, ...]]:
     """Fewest clauses, at most k, entailing lit, as ascending clause ids: the
     minimum unsatisfiable subset of the -lit reduct."""
@@ -71,10 +43,9 @@ def is_k_backbone(
     """Decide whether var is forced by some subset of at most k clauses.
 
     Returns (verdict, forced polarity, witness over original clause ids):
-    the minimum witness of either polarity, as a search of
-    ``backbone_split`` finds it.  A tie in size goes to the negative
-    polarity, so the positive one is searched only below the size of the
-    negative one's witness; only unsatisfiable input forces both.
+    the smallest witness of either polarity.  A tie in size goes to the
+    negative polarity, so the positive one is searched only below the size
+    of the negative one's witness; only unsatisfiable input forces both.
     """
     _require_variable(formula, var)
     negative = _witness(formula, -var, k)
@@ -85,12 +56,6 @@ def is_k_backbone(
     if negative is not None:
         return True, False, negative
     return False, None, None
-
-
-def backbone_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
-    """Size of a smallest subset forcing var, or None if it exceeds kmax."""
-    _, _, witness = is_k_backbone(formula, var, kmax)
-    return len(witness) if witness else None
 
 
 def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
@@ -153,23 +118,6 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
             if _witness(current, lit, k) is not None
         ],
     )
-
-
-def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
-    """Smallest k <= kmax at which var joins the iterative k-backbones.
-
-    Level k starts from level k-1's residual: the forced sets grow with k,
-    and asserting a forced literal keeps every other forcing subset."""
-    _require_variable(formula, var)
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    current = formula
-    for k in range(1, kmax + 1):
-        result = iterative_k_backbones(current, k)
-        if var in result.variables:
-            return k
-        current = current.reduct(result.forced)
-    return None
 
 
 def backbone_orders(

@@ -36,9 +36,6 @@ class ImplicationGraph:
                 self.edges[-a].append((b, cid))
                 self.edges[-b].append((a, cid))
 
-    def edge_count(self) -> int:
-        return sum(len(targets) for targets in self.edges.values())
-
     def distance(self, source: int, goal: int, max_edges: int) -> Optional[int]:
         """Fewest edges on a path source -> goal, None beyond max_edges."""
         if source not in self.edges:
@@ -57,15 +54,6 @@ class ImplicationGraph:
                         return dist + 1
                     queue.append(target)
         return seen.get(goal)
-
-    def to_dot(self) -> str:
-        """One edge per line, clause id as the label."""
-        lines = ["digraph implications {"]
-        for source in sorted(self.edges):
-            for target, cid in sorted(self.edges[source]):
-                lines.append(f'  "{source}" -> "{target}" [label="{cid}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def krom_iterative_backbones(formula: CnfFormula, k: int) -> IterativeResult:

@@ -8,7 +8,7 @@ unsatisfiable-subset check in this package.  Desk-scale instances only.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .formula import CnfFormula
 
@@ -17,12 +17,6 @@ Assignment = dict[int, bool]
 
 class UnsatFormulaError(Exception):
     """Raised where a satisfiable formula is required."""
-
-
-class Propagation(NamedTuple):
-    forced: tuple[int, ...]
-    residual: CnfFormula
-    conflict: bool
 
 
 def _assert(clauses: Iterable[frozenset[int]], lit: int) -> list[frozenset[int]]:
@@ -86,23 +80,6 @@ def solve(formula: CnfFormula) -> Optional[Assignment]:
     for v in formula.variables:
         model.setdefault(v, False)
     return model
-
-
-def unit_propagate(formula: CnfFormula) -> Propagation:
-    """Close the formula under unit-clause consequences.
-
-    Unit clauses fire in ascending clause-id order, and none fires once an
-    empty clause is present (``conflict``); ``residual`` is the reduct of
-    the input by the forced literals.
-    """
-    clauses, assign = _propagate(list(formula.literal_sets()))
-    forced = tuple(v if value else -v for v, value in assign.items())
-    return Propagation(forced, formula.reduct(forced), clauses is None)
-
-
-def entails(formula: CnfFormula, literal: int) -> bool:
-    """Whether every model of the formula makes the literal true."""
-    return solve_sets(formula.literal_sets() + (frozenset((-literal,)),)) is None
 
 
 def full_backbones(formula: CnfFormula) -> dict[int, bool]:

@@ -1,48 +1,27 @@
 """Finding minimum unsatisfiable subsets of at most k clauses.
 
-Two routes that return witnesses of the same, minimum, size, each a tuple
-of clause ids in ascending order:
+``sus_search`` returns a witness of minimum size as a tuple of clause ids
+in ascending order.  It is an iteratively deepened search over connected
+sub-formulas of the incidence graph with fewer variables than the target
+size (a subset-minimal unsatisfiable formula has more clauses than
+variables, and so has every subset on the search's path to it), hence
+restricted to clauses shorter than k.  The clauses are bits of an int,
+numbered in ascending id order.  A subset of the target size goes to the
+SAT test only when each of its variables occurs in both polarities: the
+smaller targets have all been searched, so an unsatisfiable subset of the
+target size is minimally unsatisfiable, and such a formula has no pure
+literal.
 
-* ``sus_bruteforce`` -- reference oracle, plain enumeration by subset size;
-* ``sus_search`` -- iteratively deepened search over connected sub-formulas
-  of the incidence graph with fewer variables than the target size (a
-  subset-minimal unsatisfiable formula has more clauses than variables, and
-  so has every subset on the search's path to it), hence restricted to
-  clauses shorter than k.  The clauses are bits of an int, numbered in
-  ascending id order.  A subset of the target size goes to the SAT test
-  only when each of its variables occurs in both polarities: the smaller
-  targets have all been searched, so an unsatisfiable subset of the target
-  size is minimally unsatisfiable, and such a formula has no pure literal.
-
-Both are deterministic: seeds in ascending clause-id order,
-extensions in ascending id order.
+The search is deterministic: seeds in ascending clause-id order, extensions
+in ascending id order.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .formula import CnfFormula
 from .solver import solve_sets
-
-
-def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
-    """Minimum-cardinality unsatisfiable subset of size <= k, by enumeration.
-
-    Reference oracle: no pruning beyond bailing out early when the whole
-    formula is satisfiable.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if solve_sets(formula.literal_sets()) is not None:
-        return None
-    ids = formula.clause_ids()
-    for size in range(1, min(k, len(ids)) + 1):
-        for combo in itertools.combinations(ids, size):
-            if solve_sets([formula.clause(cid) for cid in combo]) is None:
-                return combo
-    return None
 
 
 def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:

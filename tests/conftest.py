@@ -1,16 +1,23 @@
-"""Shared helpers: formula shorthand, brute-force oracles and a SAT-call cap.
+"""Shared helpers: formula shorthand, reference oracles and a SAT-call cap.
 
-The truth-table oracles here deliberately avoid the package's solver so that
-solver tests check against something independent.
+The truth-table oracles (``tt_*`` and ``brute_*``) avoid the package's
+solver, so that solver tests check against something independent.  The
+other references state the paper's definitions plainly on top of the
+package: ``sus_bruteforce`` and ``unit_propagate`` run on its solver,
+``backbone_split`` is the paper's reduction of a k-backbone to an
+unsatisfiable subset, and ``iterative_order`` is the definition of a
+variable's iterative order, each level computed from the input.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple, Optional
 
 import pytest
 
-from satbones import CnfFormula, unsat_subsets
+from satbones import CnfFormula, iterative_k_backbones, unsat_subsets
+from satbones.solver import _propagate, solve_sets
 
 SAT_CALL_CAP = 10_000
 
@@ -94,4 +101,77 @@ def brute_k_backbone(formula: CnfFormula, var: int, k: int):
                 return size, True
             if tt_entails(sub, -var):
                 return size, False
+    return None
+
+
+def sus_bruteforce(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
+    """Minimum-cardinality unsatisfiable subset of size <= k, as ascending
+    clause ids, by enumeration with the package's solver.
+
+    No pruning beyond bailing out early when the whole formula is
+    satisfiable.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if solve_sets(formula.literal_sets()) is not None:
+        return None
+    ids = formula.clause_ids()
+    for size in range(1, min(k, len(ids)) + 1):
+        for combo in itertools.combinations(ids, size):
+            if solve_sets([formula.clause(cid) for cid in combo]) is None:
+                return combo
+    return None
+
+
+def backbone_split(
+    formula: CnfFormula, var: int
+) -> tuple[CnfFormula, dict[int, tuple[int, int]]]:
+    """Union of the two reducts of the formula on var, variable-disjoint.
+
+    Returns the combined formula plus an origin map: new clause id ->
+    (original clause id, literal certified by a witness containing it).
+    The formula has an unsatisfiable subset of size <= k exactly when var is
+    a k-backbone.
+    """
+    offset = formula.max_var
+    combined: dict[int, frozenset[int]] = {}
+    origin: dict[int, tuple[int, int]] = {}
+    new_id = 1
+    for cid, c in formula.reduct((var,)).clauses():
+        combined[new_id] = c
+        origin[new_id] = (cid, -var)
+        new_id += 1
+    for cid, c in formula.reduct((-var,)).clauses():
+        shifted = frozenset(l + offset if l > 0 else l - offset for l in c)
+        combined[new_id] = shifted
+        origin[new_id] = (cid, var)
+        new_id += 1
+    return CnfFormula(combined), origin
+
+
+class Propagation(NamedTuple):
+    forced: tuple[int, ...]
+    residual: CnfFormula
+    conflict: bool
+
+
+def unit_propagate(formula: CnfFormula) -> Propagation:
+    """Close the formula under unit-clause consequences with the solver's
+    propagation loop.
+
+    Unit clauses fire in ascending clause-id order, and none fires once an
+    empty clause is present (``conflict``); ``residual`` is the reduct of
+    the input by the forced literals.
+    """
+    clauses, assign = _propagate(list(formula.literal_sets()))
+    forced = tuple(v if value else -v for v, value in assign.items())
+    return Propagation(forced, formula.reduct(forced), clauses is None)
+
+
+def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:
+    """Smallest k <= kmax at which var joins the iterative k-backbones, each
+    level computed from the input, or None."""
+    for k in range(1, kmax + 1):
+        if var in iterative_k_backbones(formula, k).variables:
+            return k
     return None

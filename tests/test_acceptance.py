@@ -12,28 +12,27 @@ import pytest
 
 from conftest import (
     F,
+    backbone_split,
     brute_k_backbone,
     brute_unsat_subset,
+    iterative_order,
+    sus_bruteforce,
     tt_satisfiable,
+    unit_propagate,
 )
 from satbones import (
     UnsatDetected,
-    backbone_order,
-    backbone_split,
     build_report,
     classify,
     full_backbones,
     horn_consequences,
     is_k_backbone,
     iterative_k_backbones,
-    iterative_order,
     krom_iterative_backbones,
     level_reduce,
     local_backbones,
     solve,
-    sus_bruteforce,
     sus_search,
-    unit_propagate,
 )
 from satbones.generators import (
     ColoredGraph,
@@ -183,8 +182,8 @@ def test_criterion_06_cycle_family():
     for n in range(4, 9):
         formula = implication_cycle(n)
         assert full_backbones(formula) == {1: False}
-        assert backbone_order(formula, 1, n) == n
-        assert backbone_order(formula, 1, n - 1) is None
+        assert is_k_backbone(formula, 1, n) == (True, False, tuple(range(1, n + 1)))
+        assert is_k_backbone(formula, 1, n - 1) == (False, None, None)
         assert iterative_order(formula, 1, n) == n
         for k in range(1, n):
             assert 1 not in iterative_k_backbones(formula, k).variables
@@ -250,7 +249,7 @@ def test_criterion_08_gadget_fidelity():
         has_path = shortest_hyperpath(
             instance.formula, instance.source, instance.target, instance.budget
         ) is not None
-        assert (backbone_order(planted, target, budget) is not None) == has_path
+        assert is_k_backbone(planted, target, budget)[0] == has_path
 
     for instance in _tiny_instances(50, 42_000):
         planted, target_literal, budget = hyperpath_to_unitfree_horn(instance)
@@ -259,11 +258,10 @@ def test_criterion_08_gadget_fidelity():
         has_path = shortest_hyperpath(
             instance.formula, instance.source, instance.target, instance.budget
         ) is not None
-        order = backbone_order(planted, abs(target_literal), budget)
-        assert (order is not None) == has_path
+        assert is_k_backbone(planted, abs(target_literal), budget)[0] == has_path
     _passed(8, "50 definite-Horn plantings (single unit clause, budget+1 "
                "answer) and 50 unit-free Horn plantings verified against "
-               "backbone_order")
+               "is_k_backbone")
 
 
 def test_criterion_09_containment_chain():

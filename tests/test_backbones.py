@@ -2,19 +2,22 @@ import random
 
 import pytest
 
-from conftest import F, brute_k_backbone, tt_backbones, tt_satisfiable
+from conftest import (
+    F,
+    backbone_split,
+    brute_k_backbone,
+    iterative_order,
+    tt_satisfiable,
+    unit_propagate,
+)
 from satbones import (
     UnsatDetected,
-    backbone_order,
-    backbone_split,
     classify,
     full_backbones,
     is_k_backbone,
     iterative_k_backbones,
-    iterative_order,
     local_backbones,
     solve,
-    unit_propagate,
 )
 from satbones.generators import implication_cycle, random_formula
 
@@ -53,11 +56,10 @@ def test_is_k_backbone_case_split():
 
 def test_is_k_backbone_takes_the_smaller_witness_of_either_polarity():
     # unsatisfiable input forces both polarities of 1: +1 by clause 1 alone,
-    # -1 by clauses 2 and 3; a search of backbone_split finds the smaller
+    # -1 by clauses 2 and 3; the smaller witness wins
     f = F([1], [-1, 2], [-1, -2])
     assert is_k_backbone(f, 1, 2) == (True, True, (1,))
     assert local_backbones(f, 2)[1] is True
-    assert backbone_order(f, 1, 2) == 1
     # a tie in size goes to the negative polarity
     assert is_k_backbone(F([1], [-1]), 1, 2) == (True, False, (2,))
 
@@ -69,7 +71,7 @@ def test_is_k_backbone_unknown_variable():
 
 def test_backbone_order_unknown_variable():
     with pytest.raises(ValueError):
-        backbone_order(F([1]), 9, 3)
+        is_k_backbone(F([1]), 9, 3)
 
 
 def test_backbone_split_unit_formula():
@@ -105,17 +107,17 @@ def test_backbone_split_matches_bruteforce():
 
 
 def test_backbone_order_unit():
-    assert backbone_order(F([1]), 1, 3) == 1
+    assert is_k_backbone(F([1]), 1, 3) == (True, True, (1,))
 
 
 def test_backbone_order_beyond_cutoff():
-    assert backbone_order(F([1, 2]), 1, 3) is None
+    assert is_k_backbone(F([1, 2]), 1, 3) == (False, None, None)
 
 
 def test_backbone_order_cycle():
     f = implication_cycle(6)
-    assert backbone_order(f, 1, 6) == 6
-    assert backbone_order(f, 1, 5) is None
+    assert is_k_backbone(f, 1, 6) == (True, False, (1, 2, 3, 4, 5, 6))
+    assert is_k_backbone(f, 1, 5) == (False, None, None)
 
 
 def test_backbone_order_matches_bruteforce():
@@ -124,8 +126,10 @@ def test_backbone_order_matches_bruteforce():
     for f in corpus:
         v = rng.choice(sorted(f.variables))
         expected = brute_k_backbone(f, v, 4)
-        got = backbone_order(f, v, 4)
-        assert got == (expected[0] if expected else None)
+        witness = is_k_backbone(f, v, 4)[2]
+        assert (len(witness) if witness else None) == (
+            expected[0] if expected else None
+        )
 
 
 def test_local_backbones_chain():
@@ -198,11 +202,11 @@ def test_iterative_order_bounded_by_order():
         if solve(f) is None:
             continue
         for v, _ in full_backbones(f).items():
-            order = backbone_order(f, v, len(f))
-            if order is None:
+            witness = is_k_backbone(f, v, len(f))[2]
+            if witness is None:
                 continue
             iter_order = iterative_order(f, v, len(f))
-            assert iter_order is not None and iter_order <= order
+            assert iter_order is not None and iter_order <= len(witness)
 
 
 def test_containment_chain_and_monotonicity():

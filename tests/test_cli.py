@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from satbones import cli, unit_propagate
+from conftest import unit_propagate
+from satbones import cli
 from satbones.cli import main
 from satbones.dimacs import parse_dimacs
 

@@ -36,19 +36,12 @@ def test_graph_skew_symmetry_and_edge_bound():
         graph = ImplicationGraph(f)
         edges = edges_of(graph)
         assert all((-dst, -src, cid) in edges for src, dst, cid in edges)
-        assert graph.edge_count() <= 2 * len(f)
+        assert len(edges) <= 2 * len(f)
 
 
 def test_graph_rejects_wide_formula():
     with pytest.raises(FormulaClassError):
         ImplicationGraph(F([1, 2, 3]))
-
-
-def test_graph_dot_export():
-    dot = ImplicationGraph(F([1, 2])).to_dot()
-    assert dot.startswith("digraph")
-    assert '"-1" -> "2" [label="1"];' in dot
-    assert dot.count("->") == 2
 
 
 def test_iterative_two_edge_path_forces_variable():

@@ -19,19 +19,17 @@ from hypothesis import strategies as st
 
 from conftest import (
     F,
+    backbone_split,
     brute_k_backbone,
     brute_unsat_subset,
     tt_backbones,
     tt_satisfiable,
 )
 from satbones import (
-    UnsatDetected,
     UnsatFormulaError,
-    backbone_split,
     full_backbones,
     is_k_backbone,
     iterative_k_backbones,
-    iterative_order,
     level_reduce,
     local_backbones,
     sus_search,
@@ -139,28 +137,6 @@ def test_backbone_orders_match_per_variable_references(f, kmax):
         for v in sorted(iterative_k_backbones(f, k).variables):
             expected.setdefault(v, k)
     assert iterative == expected
-
-
-@SETTINGS
-@given(formula_and_variable(), st.integers(1, 4))
-@example((F([1, 2], [1, -2], [-1, 2], [-1, -2]), 1), 4)
-@example((F([1], [2, 3], [2, -3], [-2, 3], [-2, -3]), 1), 3)
-def test_iterative_order_matches_levels_from_scratch(case, kmax):
-    f, var = case
-
-    def from_scratch():
-        for k in range(1, kmax + 1):
-            if var in iterative_k_backbones(f, k).variables:
-                return k
-        return None
-
-    try:
-        expected = from_scratch()
-    except UnsatDetected:
-        with pytest.raises(UnsatDetected):
-            iterative_order(f, var, kmax)
-    else:
-        assert iterative_order(f, var, kmax) == expected
 
 
 @SETTINGS

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from conftest import F
-from satbones import UnsatFormulaError, build_report, iterative_order, solve
+from conftest import F, iterative_order
+from satbones import UnsatFormulaError, build_report, solve
 from satbones.generators import implication_cycle, random_formula
 
 

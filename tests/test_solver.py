@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from conftest import F, tt_backbones, tt_entails, tt_satisfiable
-from satbones import (
-    UnsatFormulaError,
-    entails,
-    full_backbones,
-    solve,
-    solver,
-    unit_propagate,
-)
+from conftest import F, tt_backbones, tt_satisfiable, unit_propagate
+from satbones import UnsatFormulaError, full_backbones, solve, solver
 from satbones.cli import main
 from satbones.dimacs import emit_dimacs
 from satbones.generators import implication_cycle, random_formula
@@ -110,28 +103,6 @@ def test_unit_propagate_residual_is_reduct():
         result = unit_propagate(f)
         if not result.conflict:
             assert result.residual == f.reduct(result.forced)
-
-
-def test_entails_unit():
-    assert entails(F([1]), 1)
-    assert not entails(F([1]), -1)
-
-
-def test_entails_nothing_from_empty():
-    assert not entails(F(), 1)
-
-
-def test_entails_case_split():
-    assert entails(F([1, 2], [1, -2]), 1)
-
-
-def test_entails_matches_truth_table():
-    rng = random.Random(3)
-    for seed in range(60):
-        f = random_formula("3cnf", 6, 8, seed)
-        v = rng.choice(sorted(f.variables))
-        assert entails(f, v) == tt_entails(f, v)
-        assert entails(f, -v) == tt_entails(f, -v)
 
 
 def test_full_backbones_chain():

@@ -5,16 +5,14 @@ import weakref
 
 import pytest
 
-from conftest import F
+from conftest import F, tt_entails, unit_propagate
 from satbones import (
     CnfFormula,
     LevelReduction,
     UnsatDetected,
-    entails,
     iterative_k_backbones,
     level_reduce,
     solve,
-    unit_propagate,
 )
 from satbones import unitref
 from satbones.cli import main
@@ -170,7 +168,7 @@ def test_forced_literals_are_entailed():
             continue
         for k in (1, 2):
             for lit in level_reduce(f, k).forced:
-                assert entails(f, lit)
+                assert tt_entails(f, lit)
 
 
 def test_residual_is_reduct_by_forced():

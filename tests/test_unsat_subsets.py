@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from conftest import F, brute_unsat_subset, tt_satisfiable
-from satbones import (
-    full_backbones,
-    is_k_backbone,
-    sus_bruteforce,
-    sus_search,
-    unsat_subsets,
-)
+from conftest import F, brute_unsat_subset, sus_bruteforce, tt_satisfiable
+from satbones import full_backbones, is_k_backbone, sus_search, unsat_subsets
 from satbones.generators import random_formula
 
 

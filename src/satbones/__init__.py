@@ -1,6 +1,11 @@
 """Backbone, local-backbone and small-unsatisfiable-subset analysis of CNF
-formulas, with class-specialized polynomial algorithms, planted-instance
-generators and a reporting CLI."""
+formulas, with instance generators and a reporting CLI.
+
+The class-specialized polynomial algorithms of ``horn`` and ``krom`` are
+called by no command; they stay imported here only because the
+benchmark's tracer looks both modules up by name, until the benchmark
+drops them (ROADMAP item 4).
+"""
 
 from .backbones import (
     IterativeResult,

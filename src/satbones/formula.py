@@ -62,11 +62,7 @@ class CnfFormula:
     id.  All operations return new formulas; nothing here mutates.
     """
 
-    def __init__(
-        self,
-        clauses: Mapping[int, Iterable[int]],
-        var_names: Optional[Mapping[int, str]] = None,
-    ):
+    def __init__(self, clauses: Mapping[int, Iterable[int]]):
         seen: dict[frozenset[int], int] = {}
         ordered: dict[int, frozenset[int]] = {}
         for cid in sorted(clauses):
@@ -83,7 +79,6 @@ class CnfFormula:
             seen[lits] = cid
             ordered[cid] = lits
         self._clauses = ordered
-        self.var_names = dict(var_names) if var_names else {}
 
     @classmethod
     def from_clauses(cls, clause_literals: Iterable[Iterable[int]]) -> "CnfFormula":
@@ -104,9 +99,6 @@ class CnfFormula:
 
     def __len__(self) -> int:
         return len(self._clauses)
-
-    def __contains__(self, cid: int) -> bool:
-        return cid in self._clauses
 
     @property
     def length(self) -> int:
@@ -134,9 +126,7 @@ class CnfFormula:
 
     def subset(self, clause_ids: Iterable[int]) -> "CnfFormula":
         """Sub-formula induced by the given clause ids (ids preserved)."""
-        return CnfFormula(
-            {cid: self._clauses[cid] for cid in clause_ids}, self.var_names
-        )
+        return CnfFormula({cid: self._clauses[cid] for cid in clause_ids})
 
     def reduct(self, assert_literals: Iterable[int]) -> "CnfFormula":
         """Assert the given literals: drop satisfied clauses, strip complements.
@@ -146,8 +136,7 @@ class CnfFormula:
         to an earlier one is dropped, so the smallest id wins, as in the
         constructor.  The result is built directly, without the constructor's
         checks: clauses stay in ascending id order, and a subset of a valid,
-        non-tautological clause is valid and non-tautological.  Formulas are
-        immutable, so the result shares ``var_names`` with this formula.
+        non-tautological clause is valid and non-tautological.
         """
         asserted = frozenset(assert_literals)
         for l in asserted:
@@ -169,18 +158,7 @@ class CnfFormula:
             out[cid] = c
         result = CnfFormula.__new__(CnfFormula)
         result._clauses = out
-        result.var_names = self.var_names
         return result
-
-    def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        """Whether the assignment satisfies every clause (must be total)."""
-        missing = self.variables - assignment.keys()
-        if missing:
-            raise ValueError(f"assignment not total, missing {sorted(missing)}")
-        return all(
-            any(assignment[abs(l)] == (l > 0) for l in c)
-            for c in self._clauses.values()
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CnfFormula):

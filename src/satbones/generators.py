@@ -1,9 +1,10 @@
-"""Instance builders: planted reductions, the hyperpath oracle, a hard cycle
+"""Instance builders: the colored-clique hyperpath plant, a hard cycle
 family, and seeded random formula families.
 
-The reductions are constructive equivalences usable as self-checking test
-instances: each builder's output carries a known answer that the analysis
-modules must reproduce.
+Each builder's output carries a known answer that the analysis modules
+must reproduce.  The proof-side reductions (the guard variable, hyperpath
+search, the unit-free Horn plant and the ternary collector) are kept in
+``tests/conftest.py`` as references for the tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formula import CnfFormula, FormulaClassError, classify
 
@@ -21,26 +22,7 @@ class InfeasibleParameters(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# unsat-subset <-> backbone coupling
-
-
-def add_guard_variable(formula: CnfFormula) -> tuple[CnfFormula, int]:
-    """Add a fresh variable positively to every clause.
-
-    Any subset of the result entails the new variable exactly when the
-    matching original clauses are unsatisfiable, so the new variable is a
-    k-backbone of the result iff the input has an unsatisfiable subset of at
-    most k clauses.  The fresh variable never occurs negatively.
-    """
-    z = formula.max_var + 1
-    clauses = {cid: c | {z} for cid, c in formula.clauses()}
-    names = dict(formula.var_names)
-    names.setdefault(z, "guard")
-    return CnfFormula(clauses, names), z
-
-
-# ---------------------------------------------------------------------------
-# hyperpaths in definite Horn formulas
+# colored clique -> hyperpath
 
 
 @dataclass(frozen=True)
@@ -49,74 +31,6 @@ class HyperpathInstance:
     source: int
     target: int
     budget: int
-
-
-def _head_and_body(clause: frozenset[int]) -> tuple[int, frozenset[int]]:
-    positives = [l for l in clause if l > 0]
-    if len(positives) != 1:
-        raise FormulaClassError("hyperpath clauses must be definite Horn")
-    return positives[0], frozenset(abs(l) for l in clause if l < 0)
-
-
-def is_k_hyperpath(
-    formula: CnfFormula, clause_ids: Iterable[int], s: int, t: int, k: int
-) -> bool:
-    """Whether the chosen clauses derive t from s and number at most k.
-
-    Recursive check: t equals s, or some chosen clause has head t and the
-    remaining clauses derive each of its body variables from s.
-    """
-    ids = frozenset(clause_ids)
-    if len(ids) > k:
-        return False
-    heads: dict[int, tuple[int, frozenset[int]]] = {}
-    for cid in ids:
-        heads[cid] = _head_and_body(formula.clause(cid))
-    memo: dict[tuple[frozenset[int], int], bool] = {}
-
-    def derives(available: frozenset[int], goal: int) -> bool:
-        if goal == s:
-            return True
-        key = (available, goal)
-        if key in memo:
-            return memo[key]
-        result = False
-        for cid in available:
-            head, body = heads[cid]
-            if head != goal:
-                continue
-            rest = available - {cid}
-            if all(derives(rest, v) for v in body):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return derives(ids, t)
-
-
-def shortest_hyperpath(
-    formula: CnfFormula, s: int, t: int, kmax: int
-) -> Optional[int]:
-    """Minimum number of clauses deriving t from s, or None beyond kmax.
-
-    Exhaustive over clause subsets by increasing size; exact oracle for
-    desk-scale instances.
-    """
-    if not classify(formula).is_definite_horn:
-        raise FormulaClassError("formula is not definite Horn")
-    if t == s:
-        return 0
-    ids = formula.clause_ids()
-    for size in range(1, min(kmax, len(ids)) + 1):
-        for combo in combinations(ids, size):
-            if is_k_hyperpath(formula, combo, s, t, size):
-                return size
-    return None
-
-
-# ---------------------------------------------------------------------------
-# colored clique -> hyperpath
 
 
 @dataclass(frozen=True)
@@ -142,41 +56,23 @@ class ColoredGraph:
         return classes
 
 
-def colored_clique_to_hyperpath(
-    graph: ColoredGraph, k: int, three_cnf: bool = False
-) -> HyperpathInstance:
+def colored_clique_to_hyperpath(graph: ColoredGraph, k: int) -> HyperpathInstance:
     """Encode "does the graph have a clique with one vertex per color?".
 
     The output instance has a hyperpath from source to target within the
-    returned budget exactly when such a clique exists.  The budget is
-    k + C(k,2) + 1 with a single wide collector clause, or k + 2*C(k,2) + 1
-    when ``three_cnf`` rewrites the collector into a chain of ternary
-    clauses.
+    returned budget k + C(k,2) + 1 exactly when such a clique exists.
+    Variables: the source 1, one per vertex in ascending vertex order, one
+    per color pair, then the target.  Clauses: source -> vertex, one per
+    edge (both ends -> their color pair), and last one wide collector
+    clause (all color pairs -> target).
     """
     classes = graph.color_classes()
     if sorted(classes) != list(range(1, k + 1)):
         raise ValueError(f"graph is not properly colored with colors 1..{k}")
     pairs = list(combinations(range(1, k + 1), 2))
-    names: dict[int, str] = {1: "s"}
-    vertex_var: dict[int, int] = {}
-    nxt = 2
-    for v in sorted(graph.colors):
-        vertex_var[v] = nxt
-        names[nxt] = f"v{v}"
-        nxt += 1
-    pair_var: dict[tuple[int, int], int] = {}
-    for i, j in pairs:
-        pair_var[(i, j)] = nxt
-        names[nxt] = f"p{i}_{j}"
-        nxt += 1
-    chain_var: dict[int, int] = {}
-    if three_cnf:
-        for r in range(1, len(pairs) + 1):
-            chain_var[r] = nxt
-            names[nxt] = f"chain{r}"
-            nxt += 1
-    t = nxt
-    names[t] = "t"
+    vertex_var = {v: i for i, v in enumerate(sorted(graph.colors), start=2)}
+    pair_var = {p: i for i, p in enumerate(pairs, start=len(vertex_var) + 2)}
+    t = len(vertex_var) + len(pairs) + 2
 
     clauses: dict[int, frozenset[int]] = {}
     cid = 1
@@ -189,25 +85,12 @@ def colored_clique_to_hyperpath(
         i, j = graph.colors[u], graph.colors[v]
         clauses[cid] = frozenset((-vertex_var[u], -vertex_var[v], pair_var[(i, j)]))
         cid += 1
-    if three_cnf:
-        ordered = [pair_var[p] for p in pairs]
-        clauses[cid] = frozenset((-ordered[0], chain_var[1]))
-        cid += 1
-        for r in range(2, len(pairs) + 1):
-            clauses[cid] = frozenset(
-                (-chain_var[r - 1], -ordered[r - 1], chain_var[r])
-            )
-            cid += 1
-        clauses[cid] = frozenset((-chain_var[len(pairs)], t))
-        budget = k + 2 * len(pairs) + 1
-    else:
-        clauses[cid] = frozenset([-pair_var[p] for p in pairs] + [t])
-        budget = k + len(pairs) + 1
-    return HyperpathInstance(CnfFormula(clauses, names), 1, t, budget)
+    clauses[cid] = frozenset([-pair_var[p] for p in pairs] + [t])
+    return HyperpathInstance(CnfFormula(clauses), 1, t, k + len(pairs) + 1)
 
 
 # ---------------------------------------------------------------------------
-# hyperpath -> planted backbone instances
+# hyperpath -> planted backbone instance
 
 
 def hyperpath_to_definite_horn(
@@ -224,45 +107,7 @@ def hyperpath_to_definite_horn(
     clauses: dict[int, frozenset[int]] = {1: frozenset((instance.source,))}
     for i, (_, c) in enumerate(instance.formula.clauses(), start=2):
         clauses[i] = c
-    return (
-        CnfFormula(clauses, instance.formula.var_names),
-        instance.target,
-        instance.budget + 1,
-    )
-
-
-def hyperpath_to_unitfree_horn(
-    instance: HyperpathInstance,
-) -> tuple[CnfFormula, int, int]:
-    """Plant the hyperpath answer as a negative backbone on unit-free Horn.
-
-    Requires a ternary-width, unit-free instance whose target-headed clauses
-    all have size 3.  Those clauses lose their head; the source literal
-    (negatively) is a budget-backbone of the result iff the instance has a
-    hyperpath within budget.  Clause ids are preserved.
-    """
-    formula, t = instance.formula, instance.target
-    flags = classify(formula)
-    if not flags.is_definite_horn or flags.max_clause_width > 3:
-        raise FormulaClassError("input must be definite Horn with width <= 3")
-    clauses: dict[int, frozenset[int]] = {}
-    for cid, c in formula.clauses():
-        if len(c) < 2:
-            raise ValueError("input must not contain unit clauses")
-        head, _ = _head_and_body(c)
-        if head == t:
-            if len(c) != 3:
-                raise ValueError(
-                    "every clause with the target as head must have size 3"
-                )
-            clauses[cid] = c - {t}
-        else:
-            clauses[cid] = c
-    return (
-        CnfFormula(clauses, formula.var_names),
-        -instance.source,
-        instance.budget,
-    )
+    return CnfFormula(clauses), instance.target, instance.budget + 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class OrderDistribution:
     kmax: int
     backbone_count: int
     records: tuple[BackboneRecord, ...]
-    variable_names: tuple[tuple[int, str], ...] = ()
 
     def curve(self) -> list[tuple[int, float, float]]:
         """Rows (k, pct of backbones with order <= k, same for iterative)."""
@@ -76,7 +75,8 @@ class OrderDistribution:
             "length": self.length,
             "kmax": self.kmax,
             "backbone_count": self.backbone_count,
-            "variable_names": {str(v): name for v, name in self.variable_names},
+            # kept empty: schema_version 1 carries the key
+            "variable_names": {},
             "curve": [
                 {"k": k, "pct_order_leq_k": p, "pct_iter_leq_k": q}
                 for k, p, q in self.curve()
@@ -150,9 +150,4 @@ def build_report(
         kmax=kmax,
         backbone_count=len(backbone),
         records=tuple(records),
-        variable_names=tuple(
-            (v, formula.var_names[v])
-            for v in variables
-            if v in formula.var_names
-        ),
     )

@@ -12,11 +12,15 @@ import pytest
 
 from conftest import (
     F,
+    add_guard_variable,
     backbone_split,
     brute_k_backbone,
     brute_unsat_subset,
+    hyperpath_to_unitfree_horn,
     iterative_order,
+    shortest_hyperpath,
     sus_bruteforce,
+    ternary_collector,
     tt_satisfiable,
     unit_propagate,
 )
@@ -37,13 +41,10 @@ from satbones import (
 from satbones.generators import (
     ColoredGraph,
     HyperpathInstance,
-    add_guard_variable,
     colored_clique_to_hyperpath,
     hyperpath_to_definite_horn,
-    hyperpath_to_unitfree_horn,
     implication_cycle,
     random_formula,
-    shortest_hyperpath,
 )
 
 
@@ -206,14 +207,14 @@ def test_criterion_07_clique_reduction_constants():
     gone = colored_clique_to_hyperpath(_triangle((10, 20)), 3)
     assert shortest_hyperpath(gone.formula, gone.source, gone.target, 7) is None
 
-    ternary = colored_clique_to_hyperpath(_triangle(), 3, three_cnf=True)
+    ternary = ternary_collector(colored_clique_to_hyperpath(_triangle(), 3))
     assert ternary.budget == 10 == 3 + 2 * 3 + 1
     flags = classify(ternary.formula)
     assert flags.is_definite_horn and flags.max_clause_width <= 3
     assert shortest_hyperpath(
         ternary.formula, ternary.source, ternary.target, 10
     ) == 10
-    gone3 = colored_clique_to_hyperpath(_triangle((10, 20)), 3, three_cnf=True)
+    gone3 = ternary_collector(colored_clique_to_hyperpath(_triangle((10, 20)), 3))
     assert shortest_hyperpath(
         gone3.formula, gone3.source, gone3.target, 10
     ) is None

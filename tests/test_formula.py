@@ -91,7 +91,7 @@ def formulas_and_assertions(draw):
     clauses = {cid: draw(clause) for cid in ids}
     variables = draw(st.lists(st.integers(1, n + 1), max_size=4, unique=True))
     asserted = [draw(st.sampled_from((v, -v))) for v in variables]
-    return CnfFormula(clauses, {1: "a", 2: "b"}), asserted
+    return CnfFormula(clauses), asserted
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -104,8 +104,7 @@ def test_reduct_equals_constructor_on_stripped_clauses(case):
             cid: c - {-l for l in asserted}
             for cid, c in f.clauses()
             if not c & set(asserted)
-        },
-        f.var_names,
+        }
     )
     assert reduced.clauses() == expected.clauses()
     assert reduced == expected and hash(reduced) == hash(expected)
@@ -113,7 +112,6 @@ def test_reduct_equals_constructor_on_stripped_clauses(case):
         expected.empty_clause_id() is not None
     )
     assert reduced.empty_clause_id() == expected.empty_clause_id()
-    assert reduced.var_names == f.var_names
 
 
 def test_reduct_collision_keeps_smallest_id():
@@ -177,14 +175,6 @@ def test_classify_negative_binary_clause():
     flags = classify(F([-1, -2]))
     assert flags.is_horn and flags.is_nuhorn and flags.is_krom
     assert not flags.is_definite_horn
-
-
-def test_satisfied_by_requires_total_assignment():
-    f = F([1, 2])
-    assert f.satisfied_by({1: True, 2: False})
-    assert not f.satisfied_by({1: False, 2: False})
-    with pytest.raises(ValueError):
-        f.satisfied_by({1: True})
 
 
 def test_formula_equality_and_hash():

@@ -2,20 +2,26 @@ import random
 
 import pytest
 
-from conftest import F, brute_unsat_subset, tt_backbones, tt_satisfiable
+from conftest import (
+    F,
+    add_guard_variable,
+    brute_unsat_subset,
+    hyperpath_to_unitfree_horn,
+    is_k_hyperpath,
+    shortest_hyperpath,
+    ternary_collector,
+    tt_backbones,
+    tt_satisfiable,
+)
 from satbones import classify, full_backbones, is_k_backbone, solve
 from satbones.generators import (
     ColoredGraph,
     HyperpathInstance,
     InfeasibleParameters,
-    add_guard_variable,
     colored_clique_to_hyperpath,
     hyperpath_to_definite_horn,
-    hyperpath_to_unitfree_horn,
     implication_cycle,
-    is_k_hyperpath,
     random_formula,
-    shortest_hyperpath,
 )
 
 
@@ -140,18 +146,36 @@ def test_triangle_reduction_wide_mode():
     assert shortest_hyperpath(inst.formula, inst.source, inst.target, 7) == 7
 
 
+def test_triangle_instances_keep_their_numbering():
+    # the benchmark's planted cases and their digests depend on these ids
+    # and variable numbers: s = 1, vertices 2..4, color pairs 5..7, t = 8
+    inst = colored_clique_to_hyperpath(triangle(), 3)
+    wide = (
+        (1, {-1, 2}), (2, {-1, 3}), (3, {-1, 4}),
+        (4, {-2, -3, 5}), (5, {-2, -4, 6}), (6, {-3, -4, 7}),
+        (7, {-5, -6, -7, 8}),
+    )
+    assert inst.formula.clauses() == tuple((c, frozenset(l)) for c, l in wide)
+    assert (inst.source, inst.target, inst.budget) == (1, 8, 7)
+    planted, target, budget = hyperpath_to_definite_horn(inst)
+    assert planted.clauses() == ((1, frozenset({1})),) + tuple(
+        (c + 1, frozenset(l)) for c, l in wide
+    )
+    assert (target, budget) == (8, 8)
+
+
 def test_triangle_reduction_missing_edge_has_no_hyperpath():
     inst = colored_clique_to_hyperpath(triangle(missing_edge=(10, 20)), 3)
     assert shortest_hyperpath(inst.formula, inst.source, inst.target, inst.budget) is None
 
 
 def test_triangle_reduction_ternary_mode():
-    inst = colored_clique_to_hyperpath(triangle(), 3, three_cnf=True)
+    inst = ternary_collector(colored_clique_to_hyperpath(triangle(), 3))
     assert inst.budget == 10
     flags = classify(inst.formula)
     assert flags.is_definite_horn and flags.max_clause_width <= 3
     assert shortest_hyperpath(inst.formula, inst.source, inst.target, 10) == 10
-    missing = colored_clique_to_hyperpath(triangle((20, 30)), 3, three_cnf=True)
+    missing = ternary_collector(colored_clique_to_hyperpath(triangle((20, 30)), 3))
     assert shortest_hyperpath(missing.formula, missing.source, missing.target, 10) is None
 
 

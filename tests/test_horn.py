@@ -66,8 +66,8 @@ def test_unit_free_definite_horn_has_no_backbones():
         assert full_backbones(f) == {}
         assert horn_consequences(f) == frozenset()
         # both constant assignments satisfy such formulas
-        assert f.satisfied_by({v: True for v in f.variables})
-        assert f.satisfied_by({v: False for v in f.variables})
+        assert all(any(l > 0 for l in c) for c in f.literal_sets())
+        assert all(any(l < 0 for l in c) for c in f.literal_sets())
 
 
 def test_entailment_oracle_cross_check_small():

@@ -83,18 +83,6 @@ def test_curves_reach_backbone_total_at_clause_count():
     assert seen >= 15
 
 
-def test_variable_names_surface_in_json():
-    from satbones.generators import colored_clique_to_hyperpath, ColoredGraph
-
-    graph = ColoredGraph(
-        colors={10: 1, 20: 2}, edges=frozenset({(10, 20)})
-    )
-    inst = colored_clique_to_hyperpath(graph, 2)
-    planted = inst.formula
-    parsed = json.loads(build_report(planted, 2).to_json())
-    assert parsed["variable_names"]["1"] == "s"
-
-
 def test_unsat_input_rejected():
     with pytest.raises(UnsatFormulaError):
         build_report(F([1], [-1]), 2)

@@ -28,14 +28,15 @@ def test_solve_model_is_total_and_satisfying():
     f = F([1, 2, 3], [-2, 4])
     model = solve(f)
     assert set(model) == f.variables
-    assert f.satisfied_by(model)
+    assert all(any(model[abs(l)] == (l > 0) for l in c) for c in f.literal_sets())
 
 
 def test_solve_deep_branching_has_no_recursion_limit(tmp_path, capsys):
     # 1500 disjoint binary clauses need 1500 nested branching decisions
     f = F(*[[2 * i - 1, 2 * i] for i in range(1, 1501)])
     model = solve(f)
-    assert model is not None and f.satisfied_by(model)
+    assert model is not None and set(model) == f.variables
+    assert all(any(model[abs(l)] == (l > 0) for l in c) for c in f.literal_sets())
     path = tmp_path / "disjoint.cnf"
     path.write_text(emit_dimacs(f))
     assert main(["solve", str(path)]) == 0

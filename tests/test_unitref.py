@@ -182,7 +182,7 @@ def test_residual_is_reduct_by_forced():
                 continue
             ((cid, clause),) = result.residual.clauses()
             assert clause == frozenset()
-            assert cid in f
+            assert cid in f.clause_ids()
 
 
 def renamed(formula, rename):

@@ -2,12 +2,15 @@
 
 Deliberately plain (no clause learning, static lowest-variable branching) so
 it can double as the trusted oracle behind every entailment and
-unsatisfiable-subset check in this package.  Desk-scale instances only.
+unsatisfiable-subset check in this package.  One propagation pass that
+copies the clause list runs at the root; below it, the search indexes the
+clauses once and undoes a trail on backtracking, with the branching and the
+models of a search that copies at every node.  Desk-scale instances only.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import defaultdict
 from typing import Iterable, Optional
 
 from .formula import CnfFormula
@@ -50,23 +53,104 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
     """SAT check on bare literal sets; returns a (partial) model or None.
 
     Depth-first splitting on the lowest variable, positive polarity first,
-    with unit propagation at every node.  Open branches live on an explicit
-    stack, each with the partial model of its node, so no input can reach
-    the recursion limit."""
-    branches: list[tuple[list[frozenset[int]], Assignment, int]] = []
+    with unit propagation at every node.  One pass of ``_propagate`` at the
+    root decides every call that ends there, by a conflict or by satisfying
+    every clause; the clauses it leaves go to ``_search``.  The model is the
+    root's units plus the literals the search assigns."""
     clauses, model = _propagate(list(clause_sets))
-    while True:
-        if clauses is not None:
-            if not clauses:
-                return model
-            v = min(map(abs, chain.from_iterable(clauses)))
-            branches.append((clauses, model, -v))
-            branches.append((clauses, model, v))
-        if not branches:
+    if clauses is None:
+        return None
+    if clauses:
+        trail = _search(clauses)
+        if trail is None:
             return None
-        clauses, model, lit = branches.pop()
-        clauses, units = _propagate(_assert(clauses, lit))
-        model = {**model, abs(lit): lit > 0, **units}
+        for lit in trail:
+            model[abs(lit)] = lit > 0
+    return model
+
+
+def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
+    """The search below the root: the literals a model assigns, in order,
+    or None.
+
+    The clauses hold no unit and no assigned literal.  The clause positions
+    of each literal are indexed once, and each clause keeps a count of its
+    true literals and of its unassigned ones, so asserting a literal touches
+    only the clauses that hold it or its complement.  A clause with no true
+    literal and one unassigned literal queues that literal.  The trail lists
+    the assigned literals; each decision records the trail length, and
+    backtracking undoes the trail back to it.  No recursion: the decisions
+    live on an explicit stack.
+
+    The branch variable is the lowest unassigned variable of a clause
+    without a true literal, the one a search that drops satisfied clauses
+    picks.  A clause stays satisfied while the search descends, so the scan
+    of the sorted variables resumes at the parent's branch variable and
+    moves back only when the search backtracks."""
+    occurs: defaultdict[int, list[int]] = defaultdict(list)
+    for i, c in enumerate(clauses):
+        for lit in c:
+            occurs[lit].append(i)
+    order = sorted(set(map(abs, occurs)))
+    true = [0] * len(clauses)  # per clause: its true literals
+    free = list(map(len, clauses))  # per clause: its unassigned literals
+    value: dict[int, bool] = {}  # both literals of every assigned variable
+    trail: list[int] = []
+    decisions: list[tuple[int, int, int]] = []  # (trail length, scan, literal)
+    queue: list[int] = []
+    scan = 0
+    while True:
+        for scan in range(scan, len(order)):
+            v = order[scan]
+            if v not in value and not (
+                all(map(true.__getitem__, occurs[v]))
+                and all(map(true.__getitem__, occurs[-v]))
+            ):
+                break
+        else:
+            return trail
+        decisions.append((len(trail), scan, v))
+        queue.append(v)
+        while queue:
+            lit = queue.pop()
+            if lit in value:
+                continue  # queued twice: had it been false, the clause that
+                # queued it would be empty, a conflict already handled
+            value[lit] = True
+            value[-lit] = False
+            trail.append(lit)
+            for c in occurs[lit]:
+                true[c] += 1
+            # a conflict waits until every count is updated, so that undoing
+            # lit restores them all
+            conflict = False
+            for c in occurs[-lit]:
+                free[c] -= 1
+                if not true[c]:
+                    if free[c] == 1:
+                        for unit in clauses[c]:
+                            if unit not in value:
+                                queue.append(unit)
+                                break
+                    elif not free[c]:
+                        conflict = True
+            if conflict:
+                queue.clear()
+                while True:
+                    if not decisions:
+                        return None
+                    mark, scan, lit = decisions.pop()
+                    for undone in trail[mark:]:
+                        del value[undone], value[-undone]
+                        for c in occurs[undone]:
+                            true[c] -= 1
+                        for c in occurs[-undone]:
+                            free[c] += 1
+                    del trail[mark:]
+                    if lit > 0:
+                        decisions.append((mark, scan, -lit))
+                        queue.append(-lit)
+                        break
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:

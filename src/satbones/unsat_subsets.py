@@ -10,7 +10,8 @@ numbered in ascending id order.  A subset of the target size goes to the
 SAT test only when each of its variables occurs in both polarities: the
 smaller targets have all been searched, so an unsatisfiable subset of the
 target size is minimally unsatisfiable, and such a formula has no pure
-literal.
+literal.  Nor does it go when its clause weights 2^-|C| sum to less than
+1, which makes it satisfiable.
 
 The search is deterministic: seeds in ascending clause-id order, extensions
 in ascending id order.
@@ -50,7 +51,9 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     would be connected, with fewer variables than clauses, and found
     earlier), and a minimally unsatisfiable formula has no pure literal.
     The filter thus depends on the loop over targets: a search at a single
-    target keeps it exact only when no smaller witness can exist.
+    target keeps it exact only when no smaller witness can exist.  A leaf
+    that passes it skips the SAT test when ``_surely_satisfiable`` holds,
+    which needs no such condition.
 
     Bounded occurrence needs no route of its own: when every variable occurs
     in at most d clauses, a clause shorter than k has fewer than k*d
@@ -93,8 +96,10 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
         if size == target:
             if pos != neg:  # a pure literal: the subset is satisfiable
                 return None
-            unsat = solve_sets([clauses[i] for i in _indices(sub)]) is None
-            return sub if unsat else None
+            leaf = [clauses[i] for i in _indices(sub)]
+            if _surely_satisfiable(leaf, k):
+                return None
+            return sub if solve_sets(leaf) is None else None
         candidates = (frontier if sub else every) & ~banned
         while candidates:
             low = candidates & -candidates
@@ -116,6 +121,20 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
         if found is not None:
             return tuple(ids[j] for j in _indices(found))
     return None
+
+
+def _surely_satisfiable(leaf: list[frozenset[int]], k: int) -> bool:
+    """Whether the weights 2^-|C| of the leaf's clauses, each shorter than
+    k, sum to less than 1.
+
+    A uniformly random assignment falsifies a clause C with probability at
+    most 2^-|C|, so it falsifies fewer than one clause of such a leaf on
+    average, and some assignment falsifies none: the leaf is satisfiable.
+    """
+    weight = 0
+    for c in leaf:
+        weight += 1 << (k - len(c))
+    return weight < 1 << k
 
 
 def _indices(mask: int):

@@ -3,7 +3,9 @@
 The truth-table oracles (``tt_*`` and ``brute_*``) avoid the package's
 solver, so that solver tests check against something independent.  The
 other references state the paper's definitions plainly on top of the
-package: ``sus_bruteforce`` and ``unit_propagate`` run on its solver,
+package: ``copying_solve_sets`` is the DPLL that copies the clause list at
+every node, the reference for ``solve_sets``'s models; ``sus_bruteforce``
+and ``unit_propagate`` run on its solver,
 ``backbone_split`` is the paper's reduction of a k-backbone to an
 unsatisfiable subset, and ``iterative_order`` is the definition of a
 variable's iterative order, each level computed from the input.  The
@@ -29,7 +31,7 @@ from satbones import (
     unsat_subsets,
 )
 from satbones.generators import HyperpathInstance
-from satbones.solver import _propagate, solve_sets
+from satbones.solver import _assert, _propagate, solve_sets
 
 SAT_CALL_CAP = 10_000
 
@@ -178,6 +180,31 @@ def unit_propagate(formula: CnfFormula) -> Propagation:
     clauses, assign = _propagate(list(formula.literal_sets()))
     forced = tuple(v if value else -v for v, value in assign.items())
     return Propagation(forced, formula.reduct(forced), clauses is None)
+
+
+def copying_solve_sets(
+    clause_sets: Iterable[frozenset[int]],
+) -> Optional[dict[int, bool]]:
+    """``solve_sets`` as a DPLL that copies and rescans the clause list at
+    every node: the same branching (lowest variable of the clauses left,
+    positive first, depth-first), a (partial) model or None.
+
+    Each open branch carries the clauses and the partial model of its node;
+    popping one asserts its literal and propagates units."""
+    branches = []
+    clauses, model = _propagate(list(clause_sets))
+    while True:
+        if clauses is not None:
+            if not clauses:
+                return model
+            v = min(map(abs, itertools.chain.from_iterable(clauses)))
+            branches.append((clauses, model, -v))
+            branches.append((clauses, model, v))
+        if not branches:
+            return None
+        clauses, model, lit = branches.pop()
+        clauses, units = _propagate(_assert(clauses, lit))
+        model = {**model, abs(lit): lit > 0, **units}
 
 
 def iterative_order(formula: CnfFormula, var: int, kmax: int) -> Optional[int]:

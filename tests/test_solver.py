@@ -2,11 +2,23 @@ import random
 
 import pytest
 
-from conftest import F, tt_backbones, tt_satisfiable, unit_propagate
+from conftest import (
+    F,
+    copying_solve_sets,
+    tt_backbones,
+    tt_satisfiable,
+    unit_propagate,
+)
 from satbones import UnsatFormulaError, full_backbones, solve, solver
 from satbones.cli import main
 from satbones.dimacs import emit_dimacs
-from satbones.generators import implication_cycle, random_formula
+from satbones.generators import (
+    ColoredGraph,
+    colored_clique_to_hyperpath,
+    hyperpath_to_definite_horn,
+    implication_cycle,
+    random_formula,
+)
 from satbones.solver import solve_sets
 
 
@@ -59,6 +71,52 @@ def test_solve_agrees_with_truth_table_sampled_larger():
     for seed in range(40):
         f = random_formula("3cnf", 12, 30, seed)
         assert (solve(f) is not None) == tt_satisfiable(f)
+
+
+def _clique_plant(seed: int):
+    """The definite Horn plant of a seeded 3-colored graph on 6 vertices."""
+    rng = random.Random(seed)
+    colors = {v: v % 3 + 1 for v in range(6)}
+    edges = frozenset(
+        (u, v) for u in range(6) for v in range(u + 1, 6)
+        if colors[u] != colors[v] and rng.random() < 0.6
+    )
+    instance = colored_clique_to_hyperpath(ColoredGraph(colors, edges), 3)
+    return hyperpath_to_definite_horn(instance)[0]
+
+
+def _every_family():
+    """Seeded formulas of every generator family."""
+    for seed in range(20):
+        yield random_formula("3cnf", 10, 43, seed)
+        yield random_formula("3cnf", 20, 80, seed)
+        yield random_formula("krom", 12, 16, seed)
+        yield random_formula("horn", 12, 16, seed)
+        yield random_formula("definite_horn", 10, 14, seed)
+        yield random_formula("vo", 20, 50, seed, d=8)
+        yield _clique_plant(seed)
+    for n in range(2, 12):
+        yield implication_cycle(n)
+
+
+def test_solve_sets_models_match_the_copying_search():
+    # the indexed search branches and propagates like the search that
+    # copies the clause list at every node, so both return the same model,
+    # keys and values, or both None; also with one extra unit clause, the
+    # shape of full_backbones' tests
+    calls = outcomes = 0
+    for f in _every_family():
+        clauses = list(f.literal_sets())
+        shapes = [clauses]
+        shapes += [
+            clauses + [frozenset((l,))] for v in f.variables for l in (v, -v)
+        ]
+        for shape in shapes:
+            model = solve_sets(shape)
+            assert model == copying_solve_sets(shape)
+            calls += 1
+            outcomes |= 1 << (model is None)
+    assert calls > 3000 and outcomes == 3
 
 
 def test_unit_propagate_chain():

@@ -206,10 +206,10 @@ def test_pure_literal_filter_keeps_sat_calls_few(monkeypatch):
     [
         (1, 1, 1, None),  # the short clauses are satisfiable: one SAT call
         (14, 2, 1, None),  # no leaf without a pure literal
-        (18, -1, 165, None),  # every target up to 5, no witness
+        (18, -1, 113, None),  # every target up to 5, no witness
         (25, -8, 2, (25, 35, 40, 45)),
         (13, 6, 2, (9, 10, 23, 27, 49)),
-        (16, -2, 5, (1, 6, 8, 20, 50)),
+        (16, -2, 4, (1, 6, 8, 20, 50)),
     ],
 )
 def test_sus_search_sat_tests_exactly_these_leaves(
@@ -230,3 +230,29 @@ def test_sus_search_sat_tests_exactly_these_leaves(
     formula = random_formula("3cnf", 12, 50, seed).reduct((literal,))
     assert sus_search(formula, 5) == witness
     assert len(calls) == sat_calls
+
+
+def test_weight_filter_drops_only_satisfiable_leaves(monkeypatch):
+    # reducts of random 3-CNF 5/21, the random-deep shape: most leaves of
+    # four ternary clauses weigh 4/8 < 1 and never reach the SAT test
+    dropped = []
+    weigh = unsat_subsets._surely_satisfiable
+
+    def recorded(leaf, k):
+        light = weigh(leaf, k)
+        if light:
+            dropped.append(leaf)
+        return light
+
+    monkeypatch.setattr(unsat_subsets, "_surely_satisfiable", recorded)
+    witnesses = 0
+    for seed in range(8):
+        f = random_formula("3cnf", 5, 21, seed)
+        for v in sorted(f.variables):
+            for lit in (v, -v):
+                reduct = f.reduct((lit,))
+                witness = sus_search(reduct, 4)
+                assert witness == sus_bruteforce(reduct, 4)
+                witnesses += witness is not None
+    assert witnesses and len(dropped) > 1000
+    assert all(tt_satisfiable(F(*leaf)) for leaf in dropped)

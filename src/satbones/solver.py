@@ -5,13 +5,18 @@ it can double as the trusted oracle behind every entailment and
 unsatisfiable-subset check in this package.  One propagation pass that
 copies the clause list runs at the root; below it, the search indexes the
 clauses once and undoes a trail on backtracking, with the branching and the
-models of a search that copies at every node.  Desk-scale instances only.
+models of a search that copies at every node.  The levelled unit
+propagation's level-2 probes use the same counting scheme without the
+search: one index per clause set answers whether unit propagation from a
+literal refutes it, and undoes its trail after each answer.  The two stay
+separate loops: one index class shared by both slowed the search.
+Desk-scale instances only.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .formula import CnfFormula
 
@@ -151,6 +156,62 @@ def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
                         decisions.append((mark, scan, -lit))
                         queue.append(-lit)
                         break
+
+
+def _refuter(clauses: Iterable[frozenset[int]]) -> Callable[[int], bool]:
+    """A test of whether unit propagation refutes the clauses with one
+    literal asserted.
+
+    The clauses hold no empty clause.  They are indexed once, with
+    ``_search``'s clause positions per literal and per-clause counts of true
+    and unassigned literals.  ``refuted(lit)`` asserts lit and then the
+    clauses' own unit literals, propagates until a clause empties or the
+    queue runs dry, and undoes its trail before it answers, so one index
+    serves every probe."""
+    clauses = list(clauses)
+    occurs: defaultdict[int, list[int]] = defaultdict(list)
+    for i, c in enumerate(clauses):
+        for lit in c:
+            occurs[lit].append(i)
+    units = [lit for c in clauses if len(c) == 1 for lit in c]
+    true = [0] * len(clauses)
+    free = list(map(len, clauses))
+    value: dict[int, bool] = {}
+    trail: list[int] = []
+
+    def refuted(probe: int) -> bool:
+        # the probe is popped first: a unit clause it falsifies then empties
+        queue = [*units, probe]
+        conflict = False
+        while queue and not conflict:
+            lit = queue.pop()
+            if lit in value:
+                continue  # had it been false, its clause would be empty
+            value[lit] = True
+            value[-lit] = False
+            trail.append(lit)
+            for c in occurs[lit]:
+                true[c] += 1
+            for c in occurs[-lit]:
+                free[c] -= 1
+                if not true[c]:
+                    if free[c] == 1:
+                        for unit in clauses[c]:
+                            if unit not in value:
+                                queue.append(unit)
+                                break
+                    elif not free[c]:
+                        conflict = True
+        for lit in trail:
+            del value[lit], value[-lit]
+            for c in occurs[lit]:
+                true[c] -= 1
+            for c in occurs[-lit]:
+                free[c] += 1
+        trail.clear()
+        return conflict
+
+    return refuted
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:

@@ -8,12 +8,17 @@ fixpoint is returned.  Level 1 is exactly unit propagation, and it asserts
 nothing to probe a literal: on a formula without the empty clause, F|-l
 contains the empty clause exactly when F contains the unit clause {l}, so
 level 1 reads the literals it may force off F's unit clauses and takes them
-in the same scan order.  A level k >= 3 at least the variable count tests
-each probe with one SAT call instead of recursing: the probe has fewer than
-k variables, and a level at least a clause set's variable count collapses
-exactly the unsatisfiable ones (hardness is at most the number of
-variables).  The probes at every level run on bare frozensets of clauses,
-asserted with the solver's ``_assert``; clause ids are needed only for the
+in the same scan order.  Level 2 asserts nothing either: a level-1 probe
+collapses exactly when unit propagation from the probed literal refutes
+the formula, so each pass of level 2 indexes the current clauses once
+(the solver's ``_refuter``) and tests every candidate on that index.  A
+level k >= 3 at least the variable count tests each probe with one SAT
+call instead of recursing: the probe has fewer than k variables, and a
+level at least a clause set's variable count collapses exactly the
+unsatisfiable ones (hardness is at most the number of variables).  Below
+it, a level k >= 3 recurses on each probe, asserted with the solver's
+``_assert`` as a bare frozenset of clauses, and memoizes its levels
+k >= 2 for the length of one call; clause ids are needed only for the
 returned residual, which is one reduct of the input.  The forced-literal
 sets grow with k on satisfiable inputs and always over-approximate the
 literal sets found by iterative k-backbone computation (strictly so on some
@@ -25,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .formula import CnfFormula, literal_order
-from .solver import _assert, solve_sets
+from .solver import _assert, _refuter, solve_sets
 
 
 class LevelReduction(NamedTuple):
@@ -54,18 +59,24 @@ def _level(
             candidates = literal_order(l for c in current if len(c) == 1 for l in c)
         else:
             variables = {abs(l) for c in current for l in c}
-            # at or above the variable count one SAT call decides each probe;
-            # level 2 keeps level 1's closed form, which is cheaper still
-            exact = k > 2 and k >= len(variables)
-            candidates = (
-                l
-                for l in literal_order(l for v in variables for l in (v, -v))
-                if (
-                    solve_sets(_assert(current, -l)) is None
-                    if exact
-                    else _level(frozenset(_assert(current, -l)), k - 1, memo)[1]
+            literals = literal_order(l for v in variables for l in (v, -v))
+            if k == 2:
+                # a level-1 probe collapses exactly when unit propagation
+                # from the complement refutes current: one index per pass
+                refuted = _refuter(current)
+                candidates = (l for l in literals if refuted(-l))
+            elif k >= len(variables):
+                # at or above the variable count one SAT call decides each
+                # probe
+                candidates = (
+                    l for l in literals if solve_sets(_assert(current, -l)) is None
                 )
-            )
+            else:
+                candidates = (
+                    l
+                    for l in literals
+                    if _level(frozenset(_assert(current, -l)), k - 1, memo)[1]
+                )
         lit = next(iter(candidates), None)
         if lit is None:
             break
@@ -82,10 +93,11 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     forced literals.  With one, the forcing stops at the first empty clause:
     the residual is that single clause, with its input id, and ``forced``
     holds the literals forced before it.  The probes run on bare clause
-    sets, memoized for the length of one call (the recursion revisits the
-    same reducts heavily); only the returned residual carries clause ids.
-    Without a contradiction the fixpoint is independent of the literal scan
-    order.
+    sets; levels 1 and 2 answer theirs without asserting the probe, and
+    above level 2 the recursion memoizes the levels k >= 2 it reaches for
+    the length of one call (it revisits the same reducts heavily).  Only
+    the returned residual carries clause ids.  Without a contradiction the
+    fixpoint is independent of the literal scan order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

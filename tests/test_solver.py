@@ -119,6 +119,36 @@ def test_solve_sets_models_match_the_copying_search():
     assert calls > 3000 and outcomes == 3
 
 
+def test_refuter_matches_propagation_of_each_asserted_literal():
+    # one index answers every probe; probing again in reverse order gives
+    # the same answers only if each probe undid its whole trail
+    rng = random.Random(24)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        clauses = {
+            frozenset(
+                rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), width)
+            )
+            for width in rng.choices((1, 2, 2, 3, 3), k=rng.randint(1, 3 * n))
+            if width <= n
+        }
+        if rng.random() < 0.2:  # complementary units: every probe is refuted
+            v = rng.randint(1, n)
+            clauses |= {frozenset((v,)), frozenset((-v,))}
+        clauses = list(clauses)
+        literals = [l for v in range(1, n + 1) for l in (v, -v)]
+        expected = [
+            solver._propagate(solver._assert(clauses, l))[0] is None
+            for l in literals
+        ]
+        refuted = solver._refuter(clauses)
+        assert [refuted(l) for l in literals] == expected
+        assert [refuted(l) for l in reversed(literals)] == expected[::-1]
+        verdicts.update(expected)
+    assert verdicts == {True, False}
+
+
 def test_unit_propagate_chain():
     result = unit_propagate(F([1], [-1, 2]))
     assert set(result.forced) == {1, 2}

@@ -123,6 +123,28 @@ def test_collapse_builds_no_reduct(monkeypatch):
     assert probes == []
 
 
+def test_levels_above_one_never_reach_level_one(monkeypatch):
+    # level 2 answers its probes by unit propagation on one clause index, so
+    # neither it nor the recursion above it calls or memoizes level 1
+    levels = []
+    memos = []
+    level = unitref._level
+
+    def counted(clauses, k, memo):
+        levels.append(k)
+        memos.append(memo)
+        return level(clauses, k, memo)
+
+    monkeypatch.setattr(unitref, "_level", counted)
+    for f in (random_formula("3cnf", 10, 40, 1), implication_cycle(6)):
+        for k in (2, 3, 4):
+            levels.clear()
+            memos.clear()
+            level_reduce(f, k)
+            assert set(levels) == set(range(2, k + 1))
+            assert {key[1] for memo in memos for key in memo} == set(levels)
+
+
 def test_cycle_is_caught_at_level_two():
     for n in (4, 5, 6, 7, 8):
         assert -1 in level_reduce(implication_cycle(n), 2).forced
@@ -260,6 +282,13 @@ def oracle_draws():
     for seed in range(12):
         yield random_formula("3cnf", 8, 30 + 2 * seed, seed)
         yield random_formula("krom", 7, 9 + seed, seed)
+    # bounded occurrence: level 1 forces nothing, levels 2 and 3 force up
+    # to 2 literals
+    for seed in range(6):
+        yield random_formula("vo", 12, 18, seed, d=4)
+    # level 1 forces nothing, level 2 forces 4 to 8 literals and collapses
+    for n, m, seed in ((8, 14, 13), (8, 15, 1), (8, 17, 11), (9, 14, 15), (9, 21, 17)):
+        yield random_formula("krom", n, m, seed)
     # an input holding the empty clause collapses at once and forces nothing
     yield CnfFormula({1: [1, -2], 2: [], 3: [2, 3], 4: [-3]})
 

@@ -6,17 +6,22 @@ unsatisfiable-subset check in this package.  One propagation pass that
 copies the clause list runs at the root; below it, the search indexes the
 clauses once and undoes a trail on backtracking, with the branching and the
 models of a search that copies at every node.  The levelled unit
-propagation's level-2 probes use the same counting scheme without the
-search: one index per clause set answers whether unit propagation from a
-literal refutes it, and undoes its trail after each answer.  The two stay
-separate loops: one index class shared by both slowed the search.
-Desk-scale instances only.
+propagation's level-2 probes use the same index without the search: one
+index per clause set answers whether unit propagation from a literal
+refutes it.  One routine, ``_assign``, undoes a trail and asserts and
+propagates literals on an index for both; it is a plain function, because
+a class or a closure that keeps the counters slowed the search by 4 to 7%.
+The root pass stays the copying one: most calls here are tiny, and the
+11,112 calls of a seed-0 ``structured`` benchmark pass took 54 to 59%
+longer when the root pass ran on the index as well.  Desk-scale instances
+only.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .formula import CnfFormula
 
@@ -74,35 +79,98 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
     return model
 
 
+def _index(
+    clauses: list[frozenset[int]],
+) -> tuple[defaultdict[int, list[int]], list[int], list[int]]:
+    """The index ``_assign`` works on, with nothing assigned: the clause
+    positions of each literal, and per clause its count of true literals
+    and of unassigned ones."""
+    occurs: defaultdict[int, list[int]] = defaultdict(list)
+    for i, c in enumerate(clauses):
+        for lit in c:
+            occurs[lit].append(i)
+    return occurs, [0] * len(clauses), list(map(len, clauses))
+
+
+def _assign(
+    clauses: list[frozenset[int]],
+    occurs: defaultdict[int, list[int]],
+    units: Sequence[int],
+    true: list[int],
+    free: list[int],
+    value: dict[int, bool],
+    trail: list[int],
+    mark: int,
+    probe: int,
+) -> bool:
+    """Undo the trail back to length mark, assert probe and then units, and
+    propagate; returns whether a clause emptied.
+
+    The one routine that asserts a literal on a clause index: occurs lists
+    the clause positions of each literal, and per clause true counts its
+    true literals and free its unassigned ones, so asserting a literal
+    touches only the clauses that hold it or its complement.  A clause with
+    no true literal and one unassigned literal queues that literal.  value
+    holds both literals of every assigned variable, and the trail lists the
+    assigned literals in order.  Propagation stops at the first empty
+    clause; the trail stays as it is for a later call to undo."""
+    for lit in trail[mark:]:
+        del value[lit], value[-lit]
+        for c in occurs[lit]:
+            true[c] -= 1
+        for c in occurs[-lit]:
+            free[c] += 1
+    del trail[mark:]
+    # the probe is popped first: a unit clause it falsifies then empties
+    queue = [*units, probe]
+    conflict = False
+    while queue and not conflict:
+        lit = queue.pop()
+        if lit in value:
+            continue  # queued twice: had it been false, the clause that
+            # queued it would be empty, a conflict already found
+        value[lit] = True
+        value[-lit] = False
+        trail.append(lit)
+        for c in occurs[lit]:
+            true[c] += 1
+        # a conflict waits until every count is updated, so that undoing lit
+        # restores them all
+        for c in occurs[-lit]:
+            free[c] -= 1
+            if not true[c]:
+                if free[c] == 1:
+                    for unit in clauses[c]:
+                        if unit not in value:
+                            queue.append(unit)
+                            break
+                elif not free[c]:
+                    conflict = True
+    return conflict
+
+
 def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
     """The search below the root: the literals a model assigns, in order,
     or None.
 
-    The clauses hold no unit and no assigned literal.  The clause positions
-    of each literal are indexed once, and each clause keeps a count of its
-    true literals and of its unassigned ones, so asserting a literal touches
-    only the clauses that hold it or its complement.  A clause with no true
-    literal and one unassigned literal queues that literal.  The trail lists
-    the assigned literals; each decision records the trail length, and
-    backtracking undoes the trail back to it.  No recursion: the decisions
-    live on an explicit stack.
+    The clauses hold no unit and no assigned literal.  They are indexed
+    once, and ``_assign`` asserts each decision and each flipped decision
+    on that index.  Each decision records the trail length before it; on a
+    conflict the decisions whose both branches failed are popped without
+    undoing anything, and asserting the flipped decision undoes the trail
+    back to its mark in one step.  No recursion: the decisions live on an
+    explicit stack.
 
     The branch variable is the lowest unassigned variable of a clause
     without a true literal, the one a search that drops satisfied clauses
     picks.  A clause stays satisfied while the search descends, so the scan
     of the sorted variables resumes at the parent's branch variable and
     moves back only when the search backtracks."""
-    occurs: defaultdict[int, list[int]] = defaultdict(list)
-    for i, c in enumerate(clauses):
-        for lit in c:
-            occurs[lit].append(i)
+    occurs, true, free = _index(clauses)
     order = sorted(set(map(abs, occurs)))
-    true = [0] * len(clauses)  # per clause: its true literals
-    free = list(map(len, clauses))  # per clause: its unassigned literals
-    value: dict[int, bool] = {}  # both literals of every assigned variable
+    value: dict[int, bool] = {}
     trail: list[int] = []
     decisions: list[tuple[int, int, int]] = []  # (trail length, scan, literal)
-    queue: list[int] = []
     scan = 0
     while True:
         for scan in range(scan, len(order)):
@@ -114,104 +182,30 @@ def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
                 break
         else:
             return trail
-        decisions.append((len(trail), scan, v))
-        queue.append(v)
-        while queue:
-            lit = queue.pop()
-            if lit in value:
-                continue  # queued twice: had it been false, the clause that
-                # queued it would be empty, a conflict already handled
-            value[lit] = True
-            value[-lit] = False
-            trail.append(lit)
-            for c in occurs[lit]:
-                true[c] += 1
-            # a conflict waits until every count is updated, so that undoing
-            # lit restores them all
-            conflict = False
-            for c in occurs[-lit]:
-                free[c] -= 1
-                if not true[c]:
-                    if free[c] == 1:
-                        for unit in clauses[c]:
-                            if unit not in value:
-                                queue.append(unit)
-                                break
-                    elif not free[c]:
-                        conflict = True
-            if conflict:
-                queue.clear()
-                while True:
-                    if not decisions:
-                        return None
-                    mark, scan, lit = decisions.pop()
-                    for undone in trail[mark:]:
-                        del value[undone], value[-undone]
-                        for c in occurs[undone]:
-                            true[c] -= 1
-                        for c in occurs[-undone]:
-                            free[c] += 1
-                    del trail[mark:]
-                    if lit > 0:
-                        decisions.append((mark, scan, -lit))
-                        queue.append(-lit)
-                        break
+        mark, lit = len(trail), v
+        decisions.append((mark, scan, lit))
+        while _assign(clauses, occurs, (), true, free, value, trail, mark, lit):
+            while decisions and decisions[-1][2] < 0:
+                decisions.pop()
+            if not decisions:
+                return None
+            mark, scan, lit = decisions.pop()
+            lit = -lit
+            decisions.append((mark, scan, lit))
 
 
 def _refuter(clauses: Iterable[frozenset[int]]) -> Callable[[int], bool]:
     """A test of whether unit propagation refutes the clauses with one
     literal asserted.
 
-    The clauses hold no empty clause.  They are indexed once, with
-    ``_search``'s clause positions per literal and per-clause counts of true
-    and unassigned literals.  ``refuted(lit)`` asserts lit and then the
-    clauses' own unit literals, propagates until a clause empties or the
-    queue runs dry, and undoes its trail before it answers, so one index
-    serves every probe."""
+    The clauses hold no empty clause.  They are indexed once, and each
+    probe is one ``_assign`` call on that index: it undoes the previous
+    probe's trail, asserts the probed literal and then the clauses' own
+    unit literals, and propagates, so one index serves every probe."""
     clauses = list(clauses)
-    occurs: defaultdict[int, list[int]] = defaultdict(list)
-    for i, c in enumerate(clauses):
-        for lit in c:
-            occurs[lit].append(i)
     units = [lit for c in clauses if len(c) == 1 for lit in c]
-    true = [0] * len(clauses)
-    free = list(map(len, clauses))
-    value: dict[int, bool] = {}
-    trail: list[int] = []
-
-    def refuted(probe: int) -> bool:
-        # the probe is popped first: a unit clause it falsifies then empties
-        queue = [*units, probe]
-        conflict = False
-        while queue and not conflict:
-            lit = queue.pop()
-            if lit in value:
-                continue  # had it been false, its clause would be empty
-            value[lit] = True
-            value[-lit] = False
-            trail.append(lit)
-            for c in occurs[lit]:
-                true[c] += 1
-            for c in occurs[-lit]:
-                free[c] -= 1
-                if not true[c]:
-                    if free[c] == 1:
-                        for unit in clauses[c]:
-                            if unit not in value:
-                                queue.append(unit)
-                                break
-                    elif not free[c]:
-                        conflict = True
-        for lit in trail:
-            del value[lit], value[-lit]
-            for c in occurs[lit]:
-                true[c] -= 1
-            for c in occurs[-lit]:
-                free[c] += 1
-        trail.clear()
-        return conflict
-
-    return refuted
+    occurs, true, free = _index(clauses)
+    return partial(_assign, clauses, occurs, units, true, free, {}, [], 0)
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:

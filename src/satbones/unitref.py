@@ -11,7 +11,8 @@ level 1 reads the literals it may force off F's unit clauses and takes them
 in the same scan order.  Level 2 asserts nothing either: a level-1 probe
 collapses exactly when unit propagation from the probed literal refutes
 the formula, so each pass of level 2 indexes the current clauses once
-(the solver's ``_refuter``) and tests every candidate on that index.  A
+(the solver's ``_refuter``) and tests every candidate on that index; each
+probe undoes the previous probe's trail before it starts.  A
 level k >= 3 at least the variable count tests each probe with one SAT
 call instead of recursing: the probe has fewer than k variables, and a
 level at least a clause set's variable count collapses exactly the

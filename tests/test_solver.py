@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+import conftest
 from conftest import (
     F,
     copying_solve_sets,
@@ -99,31 +101,61 @@ def _every_family():
         yield implication_cycle(n)
 
 
-def test_solve_sets_models_match_the_copying_search():
+def _pigeonhole(pigeons: int, holes: int):
+    """PHP(pigeons, holes): each pigeon sits in a hole, no two share one."""
+    sits = [[p * holes + h + 1 for h in range(holes)] for p in range(pigeons)]
+    return F(
+        *sits,
+        *(
+            [-a[h], -b[h]]
+            for a, b in itertools.combinations(sits, 2)
+            for h in range(holes)
+        ),
+    )
+
+
+def test_solve_sets_models_match_the_copying_search(monkeypatch):
     # the indexed search branches and propagates like the search that
     # copies the clause list at every node, so both return the same model,
-    # keys and values, or both None; also with one extra unit clause, the
-    # shape of full_backbones' tests
-    calls = outcomes = 0
-    for f in _every_family():
+    # keys and values, or both None, after as many branch nodes: one
+    # _assign call per decision or flipped decision, one _assert call per
+    # branch the copying search pops; also with one extra unit clause, the
+    # shape of full_backbones' tests.  The pigeonhole formulas are
+    # unsatisfiable, and many of their conflicts pop several decisions whose
+    # both branches failed
+    nodes = {"indexed": 0, "copying": 0}
+
+    def counted(name, function):
+        def call(*args):
+            nodes[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(solver, "_assign", counted("indexed", solver._assign))
+    monkeypatch.setattr(conftest, "_assert", counted("copying", conftest._assert))
+    calls = outcomes = branched = 0
+    for f in [*_every_family(), _pigeonhole(5, 4), _pigeonhole(6, 5)]:
         clauses = list(f.literal_sets())
         shapes = [clauses]
         shapes += [
             clauses + [frozenset((l,))] for v in f.variables for l in (v, -v)
         ]
         for shape in shapes:
+            nodes.update(indexed=0, copying=0)
             model = solve_sets(shape)
             assert model == copying_solve_sets(shape)
+            assert nodes["indexed"] == nodes["copying"]
             calls += 1
             outcomes |= 1 << (model is None)
-    assert calls > 3000 and outcomes == 3
+            branched += nodes["indexed"]
+    assert calls > 3000 and outcomes == 3 and branched > 40000
 
 
-def test_refuter_matches_propagation_of_each_asserted_literal():
-    # one index answers every probe; probing again in reverse order gives
-    # the same answers only if each probe undid its whole trail
-    rng = random.Random(24)
-    verdicts = set()
+def _probed_clause_sets(rng: random.Random):
+    """Seeded clause sets with units, complementary units, binaries and
+    3-clauses, then binary implication chains of 20 to 40 variables, on
+    which one probe can leave a long trail; yields (n, clauses)."""
     for _ in range(300):
         n = rng.randint(1, 8)
         clauses = {
@@ -136,7 +168,22 @@ def test_refuter_matches_propagation_of_each_asserted_literal():
         if rng.random() < 0.2:  # complementary units: every probe is refuted
             v = rng.randint(1, n)
             clauses |= {frozenset((v,)), frozenset((-v,))}
-        clauses = list(clauses)
+        yield n, list(clauses)
+    for _ in range(40):
+        n = rng.randint(20, 40)
+        chain = [rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), n)]
+        clauses = [frozenset((-a, b)) for a, b in zip(chain, chain[1:])]
+        if rng.random() < 0.5:  # the chain's end is false: its start is refuted
+            clauses.append(frozenset((-chain[-1],)))
+        yield n, clauses
+
+
+def test_refuter_matches_propagation_of_each_asserted_literal():
+    # one index answers every probe; probing again in reverse order gives
+    # the same answers only if each probe undoes the previous one's whole
+    # trail before it starts
+    verdicts = set()
+    for n, clauses in _probed_clause_sets(random.Random(24)):
         literals = [l for v in range(1, n + 1) for l in (v, -v)]
         expected = [
             solver._propagate(solver._assert(clauses, l))[0] is None

@@ -10,8 +10,9 @@ numbered in ascending id order.  A subset of the target size goes to the
 SAT test only when each of its variables occurs in both polarities: the
 smaller targets have all been searched, so an unsatisfiable subset of the
 target size is minimally unsatisfiable, and such a formula has no pure
-literal.  Nor does it go when its clause weights 2^-|C| sum to less than
-1, which makes it satisfiable.
+literal.  A subset whose clause weights 2^-|C| sum to less than 1 is
+satisfiable (Erdős–Selfridge), so the search cuts every subtree whose
+leaves all weigh less than 1, whole targets included.
 
 The search is deterministic: seeds in ascending clause-id order, extensions
 in ascending id order.
@@ -51,9 +52,24 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
     would be connected, with fewer variables than clauses, and found
     earlier), and a minimally unsatisfiable formula has no pure literal.
     The filter thus depends on the loop over targets: a search at a single
-    target keeps it exact only when no smaller witness can exist.  A leaf
-    that passes it skips the SAT test when ``_surely_satisfiable`` holds,
-    which needs no such condition.
+    target keeps it exact only when no smaller witness can exist.
+
+    The weight bound needs no such condition.  A uniformly random assignment
+    falsifies a clause C with probability 2^-|C|, so a subset whose weights
+    2^-|C| sum to less than 1 has an assignment that falsifies none of its
+    clauses: it is satisfiable.  Scaled by 2^w for the widest short clause's
+    width w, each clause weighs the integer ``goal >> |C|``, where
+    ``goal = 1 << w`` stands for 1, and ``top`` is the largest weight.  A
+    node of weight s with ``room`` slots still to fill has no leaf heavier
+    than ``s + room * top``.  ``extend`` receives the surplus
+    ``s + room * top - goal``, which each added clause lowers by its
+    ``gap``, top minus its weight, and returns when it is negative.  At a
+    leaf (room 0) this is the weight test of the leaf itself, at the root it
+    skips the whole target (on 3-CNF reducts at k = 4 every target below
+    4), and in between it cuts a subtree of satisfiable leaves.  Every leaf
+    it drops is satisfiable, so the witness, and the set of leaves that get
+    the SAT test, are those of the enumeration without the bound.  The
+    scale keeps the surplus a small int: it never exceeds k * top.
 
     Bounded occurrence needs no route of its own: when every variable occurs
     in at most d clauses, a clause shorter than k has fewer than k*d
@@ -87,54 +103,45 @@ def sus_search(formula: CnfFormula, k: int) -> Optional[tuple[int, ...]]:
                 negative[i] |= var_bit[-l]
             neighbors[i] |= occurs[abs(l)]
     variables = [p | n for p, n in zip(positive, negative)]
+    lengths = list(map(len, clauses))
+    top, goal = 1 << (max(lengths) - min(lengths)), 1 << max(lengths)
+    gap = [top - (goal >> n) for n in lengths]
     every = (1 << len(ids)) - 1
 
     def extend(
-        sub: int, frontier: int, banned: int, pos: int, neg: int, size: int,
-        target: int,
+        sub: int, frontier: int, banned: int, pos: int, neg: int,
+        surplus: int, room: int,
     ) -> Optional[int]:
-        if size == target:
+        if surplus < 0:  # every leaf below weighs less than 1
+            return None
+        if not room:
             if pos != neg:  # a pure literal: the subset is satisfiable
                 return None
             leaf = [clauses[i] for i in _indices(sub)]
-            if _surely_satisfiable(leaf, k):
-                return None
             return sub if solve_sets(leaf) is None else None
         candidates = (frontier if sub else every) & ~banned
+        used = pos | neg
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             banned |= low
             x = low.bit_length() - 1
-            if (pos | neg | variables[x]).bit_count() < target:
+            if (used | variables[x]).bit_count() < target:
                 # else every superset breaks the bound too
                 found = extend(
                     sub | low, frontier | neighbors[x], banned,
-                    pos | positive[x], neg | negative[x], size + 1, target,
+                    pos | positive[x], neg | negative[x], surplus - gap[x],
+                    room - 1,
                 )
                 if found is not None:
                     return found
         return None
 
     for target in range(1, min(k, len(ids)) + 1):
-        found = extend(0, 0, 0, 0, 0, 0, target)
+        found = extend(0, 0, 0, 0, 0, target * top - goal, target)
         if found is not None:
             return tuple(ids[j] for j in _indices(found))
     return None
-
-
-def _surely_satisfiable(leaf: list[frozenset[int]], k: int) -> bool:
-    """Whether the weights 2^-|C| of the leaf's clauses, each shorter than
-    k, sum to less than 1.
-
-    A uniformly random assignment falsifies a clause C with probability at
-    most 2^-|C|, so it falsifies fewer than one clause of such a leaf on
-    average, and some assignment falsifies none: the leaf is satisfiable.
-    """
-    weight = 0
-    for c in leaf:
-        weight += 1 << (k - len(c))
-    return weight < 1 << k
 
 
 def _indices(mask: int):

@@ -6,11 +6,11 @@ split of the variable and map the witness back through the origin map.
 ``is_k_backbone`` must give that witness and its polarity on every formula,
 unsatisfiable ones included, where both polarities are forced.  The subset
 search's reference is the same enumeration on sets, without the variable
-bound or the pure-literal leaf filter, and its witnesses are checked to be
-minimally unsatisfiable.  The report's order phase is checked against
-``is_k_backbone`` and ``iterative_k_backbones``, and ``full_backbones``
-against the truth table.  Examples are derandomized and no example database
-is kept, so runs are repeatable.
+bound, the pure-literal leaf filter or the weight bound, and its witnesses
+are checked to be minimally unsatisfiable.  The report's order phase is
+checked against ``is_k_backbone`` and ``iterative_k_backbones``, and
+``full_backbones`` against the truth table.  Examples are derandomized and
+no example database is kept, so runs are repeatable.
 """
 
 import pytest
@@ -207,10 +207,10 @@ def _neighbors(star):
 
 
 def unpruned_minimum_search(formula, k):
-    """sus_search without the variable bound or the pure-literal leaf
-    filter, on sets instead of bitmasks: every connected subset of short
-    clauses, in the same order, gets the SAT test; ascending clause ids or
-    None."""
+    """sus_search without the variable bound, the pure-literal leaf filter
+    or the weight bound, on sets instead of bitmasks: every connected subset
+    of short clauses, in the same order, gets the SAT test; ascending clause
+    ids or None."""
     star = {cid: c for cid, c in formula.clauses() if len(c) < k}
     for cid, c in star.items():
         if not c:
@@ -246,9 +246,10 @@ def unpruned_minimum_search(formula, k):
 
 
 @SETTINGS
-@given(formulas(), st.integers(1, 4))
+@given(formulas(), st.integers(1, 5))
 @example(F([1, 2], [], [-1]), 2)
 @example(F([1, 2], [-1, 2], [1, -2], [-1, -2]), 4)
+@example(F([1], [-1, 2], [-2]), 3)  # the heaviest clause is the unit's
 def test_minimum_search_matches_unpruned_enumeration(f, k):
     found = sus_search(f, k)
     assert found == unpruned_minimum_search(f, k)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -232,27 +233,64 @@ def test_sus_search_sat_tests_exactly_these_leaves(
     assert len(calls) == sat_calls
 
 
-def test_weight_filter_drops_only_satisfiable_leaves(monkeypatch):
-    # reducts of random 3-CNF 5/21, the random-deep shape: most leaves of
-    # four ternary clauses weigh 4/8 < 1 and never reach the SAT test
-    dropped = []
-    weigh = unsat_subsets._surely_satisfiable
+@pytest.mark.parametrize(
+    "width,k,witness",
+    [
+        (3, 8, tuple(range(1, 9))),
+        (3, 7, None),  # the eight 3-clauses cannot fit in 7
+        (2, 4, (1, 2, 3, 4)),
+        (2, 3, None),
+    ],
+)
+def test_weight_bound_keeps_a_leaf_of_weight_exactly_one(width, k, witness):
+    # every clause over `width` variables: 2^width clauses of weight
+    # 2^-width sum to exactly 1, so the bound must cut below 1, not at it
+    clauses = [
+        [v if (bits >> (v - 1)) & 1 else -v for v in range(1, width + 1)]
+        for bits in range(2**width)
+    ]
+    assert sus_search(F(*clauses), k) == witness
 
-    def recorded(leaf, k):
-        light = weigh(leaf, k)
-        if light:
-            dropped.append(leaf)
-        return light
 
-    monkeypatch.setattr(unsat_subsets, "_surely_satisfiable", recorded)
+def test_weight_bound_cuts_subtrees_of_satisfiable_leaves(monkeypatch):
+    # reducts of random 3-CNF 5/21, the random-deep shape: a binary clause
+    # weighs 1/4 and a ternary one 1/8, so at k = 4 every target below 4 is
+    # skipped at its root and a subtree is cut as soon as its leaves cannot
+    # weigh 1.  The witnesses stay those of brute force, the leaves that get
+    # the SAT test stay the 154 of the leaf-only weight filter, and the
+    # extend frames fall from that filter's 8,405 to 3,000
+    calls = []
+    solve = unsat_subsets.solve_sets
+
+    def counted(clause_sets):
+        calls.append(None)
+        return solve(clause_sets)
+
+    monkeypatch.setattr(unsat_subsets, "solve_sets", counted)
+    extend = next(
+        c for c in sus_search.__code__.co_consts
+        if getattr(c, "co_name", None) == "extend"
+    )
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code is extend
+
     witnesses = 0
     for seed in range(8):
         f = random_formula("3cnf", 5, 21, seed)
         for v in sorted(f.variables):
             for lit in (v, -v):
                 reduct = f.reduct((lit,))
-                witness = sus_search(reduct, 4)
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    witness = sus_search(reduct, 4)
+                finally:
+                    sys.setprofile(previous)
                 assert witness == sus_bruteforce(reduct, 4)
                 witnesses += witness is not None
-    assert witnesses and len(dropped) > 1000
-    assert all(tt_satisfiable(F(*leaf)) for leaf in dropped)
+    assert witnesses
+    assert len(calls) == 154
+    assert frames == 3000 < 8405 // 2

@@ -274,8 +274,8 @@ def _add_report(p) -> None:
 
 
 # subcommand -> (help, function adding its arguments); the handler of each is
-# cmd_<name>, looked up when its parser is built, so that a cmd_<name>
-# replaced on the module is the one that runs
+# cmd_<name>, looked up by name on every call, so that a cmd_<name> replaced
+# on the module is the one that runs
 COMMANDS = {
     "classify": ("formula class flags and counts", _add_classify),
     "solve": ("SAT/UNSAT with a model", _add_input),
@@ -289,30 +289,69 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with `command`'s alone."""
+class _Unparsed(Exception):
+    """What the flat parser leaves to the full parser: help or an error."""
+
+
+class _FlatParser(argparse.ArgumentParser):
+    """One subcommand's arguments on a parser of their own; it prints
+    nothing, and raises _Unparsed where argparse would print and exit."""
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+    def error(self, message):
+        raise _Unparsed
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="satbones",
         description="Backbone and small-unsatisfiable-subset analysis of CNF formulas",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(handler=globals()[f"cmd_{name}"])
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
+def _parse_flat(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """`argv` parsed on the arguments of the subcommand it names alone, or
+    None where the full parser must answer: no or an unknown subcommand,
+    help, an error, or arguments left over."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name = argv[0]
+    parser = _FlatParser(
+        prog=f"satbones {name}",
+        add_help=False,
+        # a fixed width, since it never prints: argparse's default formatter
+        # reads the terminal size at every add_argument
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
+    )
+    # declared as on the subcommand's parser, so that argparse reads every
+    # string alike there and here: "-h x" is no path but a help error
+    parser.add_argument("-h", "--help", action="help")
+    COMMANDS[name][1](parser)
+    try:
+        args = parser.parse_args(argv[1:])
+    except _Unparsed:
+        return None
+    args.command = name
+    args.handler = globals()[f"cmd_{name}"]
+    return args
+
+
 def main(argv=None) -> int:
-    # only the named subcommand's parser is built; the full parser prints
-    # the usage of help, of a missing or unknown command and of leftovers
+    # a well-formed command is parsed on its own arguments alone; the full
+    # parser, with every subcommand, prints help and every usage error
     if argv is None:
         argv = sys.argv[1:]
-    args = None
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv)
-    if args is None or rest:
+    args = _parse_flat(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

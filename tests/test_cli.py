@@ -392,7 +392,9 @@ def test_parser_output_is_pinned(
     assert captured.err == err
 
 
-def test_main_builds_only_the_named_subparser(chain_file, capsys, monkeypatch):
+def test_main_builds_no_subparser_for_a_well_formed_command(
+    chain_file, capsys, monkeypatch
+):
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -402,10 +404,113 @@ def test_main_builds_only_the_named_subparser(chain_file, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     assert main(["report", chain_file]) == 0
-    assert names == ["report"]
-    names.clear()
+    assert main(["uc", chain_file, "-k", "1"]) == 0
+    assert names == []
     cli.build_parser()
     assert names == list(cli.COMMANDS)
-    names.clear()
-    assert _exit_code(["-h"]) == 0
-    assert len(names) == 9
+    for argv, code in (
+        (["-h"], 0),
+        (["report", chain_file, "--bogus"], 2),
+        (["report", chain_file, "--kmax", "x"], 2),
+    ):
+        names.clear()
+        assert _exit_code(argv) == code
+        assert names == list(cli.COMMANDS)
+
+
+# the arguments of each subcommand; F.cnf is CHAIN, in the working directory
+BASE = {
+    "classify": ["F.cnf"],
+    "solve": ["F.cnf"],
+    "backbones": ["F.cnf"],
+    "sus": ["F.cnf", "-k", "2"],
+    "local": ["F.cnf", "-k", "2"],
+    "iterative": ["F.cnf", "-k", "1"],
+    "uc": ["F.cnf", "-k", "1"],
+    "generate": ["--family", "3cnf", "-n", "3", "-m", "4"],
+    "report": ["F.cnf", "--kmax", "2"],
+}
+# appended to a subcommand's arguments: help and its prefixes, strings
+# that only the declared -h makes errors, leftovers, "--", repeats,
+# abbreviations, attached and missing values, negative ints, bad values
+SUFFIXES = [
+    [], ["-h"], ["--help"], ["--he"], ["--h"], ["--help=x"], ["-hk"],
+    ["-h x"], ["--he=x y"], ["-o", "-h x"], ["-o", "-h"], ["-o"],
+    ["--bogus"], ["extra"], ["--"], ["--", "-1"], ["--", "F.cnf"], ["-"],
+    ["--drop-tautologies"], ["--drop"], ["--dr", "--dr"],
+    ["-o", "out.txt"], ["-oout.txt"], ["--output=out.txt"], ["--out", "o.txt"],
+    ["-o", "a.txt", "-o", "b.txt"],
+    ["--format", "json"], ["--format", "csv"], ["--fo", "text"],
+    ["--format=xml"], ["--format"],
+    ["--kmax", "3"], ["--km", "3"], ["--kmax=1"], ["--kmax", "x"],
+    ["--kmax"], ["--kmax", "-1"], ["--kmax", "3", "--kmax", "1"],
+    ["-k", "3"], ["-k3"], ["-k=3"], ["--k", "1"], ["--k=1"], ["-k", "-2"],
+    ["-k", "x"], ["-k"],
+    ["--var", "1"], ["--va", "2"], ["--v", "1"], ["--var", "9"],
+    ["--var", "x"], ["--var=-1"],
+    ["--family", "cycle"], ["--fam", "krom"], ["--family", "bad"],
+    ["-n", "x"], ["-n4"], ["--seed", "5"], ["--se", "-5"], ["--occ", "2"],
+    ["--min-width", "2"], ["--min", "2"], ["-m", "-1"], ["-m"],
+]
+PARSE_TABLE = (
+    [[name, *BASE[name], *suffix] for name in BASE for suffix in SUFFIXES]
+    + [[name, *suffix] for name in BASE for suffix in ([], ["-h"], ["-k", "2"])]
+    + [[name, *reversed(BASE[name])] for name in BASE]
+    + [
+        [], ["-h"], ["--help"], ["--he"], ["rep"], ["Report", "F.cnf"],
+        ["--", "report", "F.cnf"], ["-x", "report", "F.cnf"],
+        ["report", "-k", "2", "F.cnf"], ["sus", "-k2", "F.cnf"],
+        ["local", "--var", "1", "-k", "2", "--drop", "F.cnf"],
+        ["report", "--format", "csv", "--", "F.cnf"],
+        ["generate", "-n", "6", "--family", "cycle", "-o", "c.cnf"],
+        ["generate", "--family", "vo", "-n", "4", "-m", "5", "--occ", "3"],
+    ]
+)
+
+
+def _run_in(directory, argv, capsys):
+    """Exit code, stdout, stderr and the files written by one main call."""
+    code = _exit_code(list(argv))
+    out, err = capsys.readouterr()
+    written = {}
+    for path in sorted(directory.iterdir()):
+        if path.name != "F.cnf":
+            written[path.name] = path.read_text()
+            path.unlink()
+    return code, out, err, written
+
+
+def test_flat_parse_changes_no_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.cnf").write_text(CHAIN)
+
+    def unparsed(self, args=None, namespace=None):
+        raise cli._Unparsed
+
+    flat = []
+    for argv in PARSE_TABLE:
+        args = cli._parse_flat(argv)
+        if args is not None:
+            flat.append(argv)
+            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+        with_flat = _run_in(tmp_path, argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._FlatParser, "parse_known_args", unparsed)
+            assert _run_in(tmp_path, argv, capsys) == with_flat, argv
+    # the table reaches both paths, and every way of writing a value
+    assert len(flat) > 80 and len(PARSE_TABLE) - len(flat) > 80
+    for argv in (
+        ["report", *BASE["report"], "--km", "3"],
+        ["uc", *BASE["uc"], "-k3"],
+        ["report", *BASE["report"], "--output=out.txt"],
+        ["local", *BASE["local"], "--var=-1"],
+        ["generate", "-n", "6", "--family", "cycle", "-o", "c.cnf"],
+    ):
+        assert argv in flat
+    for argv in (
+        ["report", *BASE["report"], "--he"],
+        ["report", *BASE["report"], "-h x"],
+        ["report", *BASE["report"], "-o", "-h x"],
+    ):
+        assert argv not in flat

@@ -3,18 +3,20 @@
 Deliberately plain (no clause learning, static lowest-variable branching) so
 it can double as the trusted oracle behind every entailment and
 unsatisfiable-subset check in this package.  One propagation pass that
-copies the clause list runs at the root; below it, the search indexes the
-clauses once and undoes a trail on backtracking, with the branching and the
-models of a search that copies at every node.  The levelled unit
-propagation's level-2 probes use the same index without the search: one
-index per clause set answers whether unit propagation from a literal
-refutes it.  One routine, ``_assign``, undoes a trail and asserts and
-propagates literals on an index for both; it is a plain function, because
-a class or a closure that keeps the counters slowed the search by 4 to 7%.
-The root pass stays the copying one: most calls here are tiny, and the
-11,112 calls of a seed-0 ``structured`` benchmark pass took 54 to 59%
-longer when the root pass ran on the index as well.  Desk-scale instances
-only.
+copies the clause list runs at the root; below it, the search runs on a
+clause index and undoes a trail on backtracking, with the branching and the
+models of a search that copies at every node.  The search starts from the
+index and the trail its caller hands it: ``solve_sets`` hands it a fresh
+index, and ``_refuter``, which serves the levelled unit propagation's
+probes, one index per clause set, on which each probe asserts a literal
+and propagates; in a complete refuter, a probe that propagation leaves
+open goes on to the search from that trail.  One routine, ``_assign``,
+undoes a trail and asserts and propagates literals on an index for both; it
+is a plain function, because a class or a closure that keeps the counters
+slowed the search by 4 to 7%.  The root pass stays the copying one: most
+calls here are tiny, and the 11,112 calls of a seed-0 ``structured``
+benchmark pass took 54 to 59% longer when the root pass ran on the index as
+well.  Desk-scale instances only.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def solve_sets(clause_sets: Iterable[frozenset[int]]) -> Optional[Assignment]:
     if clauses is None:
         return None
     if clauses:
-        trail = _search(clauses)
-        if trail is None:
+        trail: list[int] = []
+        if not _search(clauses, *_index(clauses), {}, trail):
             return None
         for lit in trail:
             model[abs(lit)] = lit > 0
@@ -149,27 +151,35 @@ def _assign(
     return conflict
 
 
-def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
-    """The search below the root: the literals a model assigns, in order,
-    or None.
+def _search(
+    clauses: list[frozenset[int]],
+    occurs: defaultdict[int, list[int]],
+    true: list[int],
+    free: list[int],
+    value: dict[int, bool],
+    trail: list[int],
+) -> bool:
+    """The search from the trail its caller hands it: whether a model
+    extends the trail's assignment.
 
-    The clauses hold no unit and no assigned literal.  They are indexed
-    once, and ``_assign`` asserts each decision and each flipped decision
-    on that index.  Each decision records the trail length before it; on a
-    conflict the decisions whose both branches failed are popped without
-    undoing anything, and asserting the flipped decision undoes the trail
-    back to its mark in one step.  No recursion: the decisions live on an
-    explicit stack.
+    The index (occurs, true and free, as ``_assign`` keeps them) holds the
+    trail's literals, in value and in the counts, and propagation from
+    them has ended without a conflict.  ``_assign`` asserts each decision
+    and each flipped decision on that index.  Each decision records the
+    trail length before it; on a conflict the decisions whose both
+    branches failed are popped without undoing anything, and asserting the
+    flipped decision undoes the trail back to its mark in one step.  No
+    recursion: the decisions live on an explicit stack.  On success the
+    trail lists the model's literals in order, the given ones first; on
+    failure it is left as it stands, for the caller's next ``_assign`` to
+    undo.
 
     The branch variable is the lowest unassigned variable of a clause
     without a true literal, the one a search that drops satisfied clauses
     picks.  A clause stays satisfied while the search descends, so the scan
     of the sorted variables resumes at the parent's branch variable and
     moves back only when the search backtracks."""
-    occurs, true, free = _index(clauses)
     order = sorted(set(map(abs, occurs)))
-    value: dict[int, bool] = {}
-    trail: list[int] = []
     decisions: list[tuple[int, int, int]] = []  # (trail length, scan, literal)
     scan = 0
     while True:
@@ -181,31 +191,43 @@ def _search(clauses: list[frozenset[int]]) -> Optional[list[int]]:
             ):
                 break
         else:
-            return trail
+            return True
         mark, lit = len(trail), v
         decisions.append((mark, scan, lit))
         while _assign(clauses, occurs, (), true, free, value, trail, mark, lit):
             while decisions and decisions[-1][2] < 0:
                 decisions.pop()
             if not decisions:
-                return None
+                return False
             mark, scan, lit = decisions.pop()
             lit = -lit
             decisions.append((mark, scan, lit))
 
 
-def _refuter(clauses: Iterable[frozenset[int]]) -> Callable[[int], bool]:
-    """A test of whether unit propagation refutes the clauses with one
-    literal asserted.
+def _refuter(
+    clauses: Iterable[frozenset[int]], complete: bool = False
+) -> Callable[[int], bool]:
+    """A test of whether the clauses with one literal asserted are refuted:
+    by unit propagation, or, when complete, by unit propagation and then
+    ``_search``, that is, whether they are unsatisfiable.
 
     The clauses hold no empty clause.  They are indexed once, and each
     probe is one ``_assign`` call on that index: it undoes the previous
     probe's trail, asserts the probed literal and then the clauses' own
-    unit literals, and propagates, so one index serves every probe."""
+    unit literals, and propagates, so one index serves every probe.  A
+    complete probe that propagation leaves open searches from that trail
+    on the same index, and the next probe undoes the search's trail too."""
     clauses = list(clauses)
     units = [lit for c in clauses if len(c) == 1 for lit in c]
     occurs, true, free = _index(clauses)
-    return partial(_assign, clauses, occurs, units, true, free, {}, [], 0)
+    value: dict[int, bool] = {}
+    trail: list[int] = []
+    refuted = partial(_assign, clauses, occurs, units, true, free, value, trail, 0)
+    if not complete:
+        return refuted
+    return lambda lit: refuted(lit) or not _search(
+        clauses, occurs, true, free, value, trail
+    )
 
 
 def solve(formula: CnfFormula) -> Optional[Assignment]:

@@ -12,10 +12,11 @@ in the same scan order.  Level 2 asserts nothing either: a level-1 probe
 collapses exactly when unit propagation from the probed literal refutes
 the formula, so each pass of level 2 indexes the current clauses once
 (the solver's ``_refuter``) and tests every candidate on that index; each
-probe undoes the previous probe's trail before it starts.  A
-level k >= 3 at least the variable count tests each probe with one SAT
-call instead of recursing: the probe has fewer than k variables, and a
-level at least a clause set's variable count collapses exactly the
+probe undoes the previous probe's trail before it starts.  A level k >= 3
+at least the variable count does the same without recursing, except that
+a probe propagation leaves open goes on to the solver's search from the
+probe's trail on the same index: the probe has fewer than k variables,
+and a level at least a clause set's variable count collapses exactly the
 unsatisfiable ones (hardness is at most the number of variables).  Below
 it, a level k >= 3 recurses on each probe, asserted with the solver's
 ``_assert`` as a bare frozenset of clauses, and memoizes its levels
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .formula import CnfFormula, literal_order
-from .solver import _assert, _refuter, solve_sets
+from .solver import _assert, _refuter
 
 
 class LevelReduction(NamedTuple):
@@ -61,17 +62,14 @@ def _level(
         else:
             variables = {abs(l) for c in current for l in c}
             literals = literal_order(l for v in variables for l in (v, -v))
-            if k == 2:
+            if k == 2 or k >= len(variables):
                 # a level-1 probe collapses exactly when unit propagation
-                # from the complement refutes current: one index per pass
-                refuted = _refuter(current)
+                # from the complement refutes current, and a probe at or
+                # above its variable count exactly when it is unsatisfiable,
+                # which the search decides from propagation's trail: one
+                # index per pass
+                refuted = _refuter(current, complete=k > 2)
                 candidates = (l for l in literals if refuted(-l))
-            elif k >= len(variables):
-                # at or above the variable count one SAT call decides each
-                # probe
-                candidates = (
-                    l for l in literals if solve_sets(_assert(current, -l)) is None
-                )
             else:
                 candidates = (
                     l
@@ -94,11 +92,12 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     forced literals.  With one, the forcing stops at the first empty clause:
     the residual is that single clause, with its input id, and ``forced``
     holds the literals forced before it.  The probes run on bare clause
-    sets; levels 1 and 2 answer theirs without asserting the probe, and
-    above level 2 the recursion memoizes the levels k >= 2 it reaches for
-    the length of one call (it revisits the same reducts heavily).  Only
-    the returned residual carries clause ids.  Without a contradiction the
-    fixpoint is independent of the literal scan order.
+    sets; levels 1 and 2, and the levels at or above the variable count,
+    answer theirs without building a clause set per probe, and below it the
+    recursion memoizes the levels k >= 2 it reaches for the length of one
+    call (it revisits the same reducts heavily).  Only the returned residual
+    carries clause ids.  Without a contradiction the fixpoint is independent
+    of the literal scan order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

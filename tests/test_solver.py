@@ -196,6 +196,27 @@ def test_refuter_matches_propagation_of_each_asserted_literal():
     assert verdicts == {True, False}
 
 
+def test_complete_refuter_matches_a_sat_call_per_asserted_literal():
+    # a complete probe that propagation leaves open searches from its
+    # trail on the same index; probing again in reverse order gives the
+    # same answers only if each probe undoes the previous search's trail
+    searched = set()
+    for n, clauses in _probed_clause_sets(random.Random(30)):
+        literals = [l for v in range(1, n + 1) for l in (v, -v)]
+        expected = [
+            solve_sets(solver._assert(clauses, l)) is None for l in literals
+        ]
+        refuted = solver._refuter(clauses, complete=True)
+        assert [refuted(l) for l in literals] == expected
+        assert [refuted(l) for l in reversed(literals)] == expected[::-1]
+        propagated = solver._refuter(clauses)
+        searched.update(
+            verdict for l, verdict in zip(literals, expected) if not propagated(l)
+        )
+    # the search both refutes and satisfies probes that propagation leaves open
+    assert searched == {True, False}
+
+
 def test_unit_propagate_chain():
     result = unit_propagate(F([1], [-1, 2]))
     assert set(result.forced) == {1, 2}

@@ -151,8 +151,9 @@ def test_cycle_is_caught_at_level_two():
 
 
 def test_level_at_the_variable_count_probes_without_recursion():
-    # at a level of at least the variable count each probe is one SAT call,
-    # so a long cycle at its own order stays far below the recursion limit
+    # at a level of at least the variable count each probe is decided by
+    # propagation and a search on one clause index, without recursing, so a
+    # long cycle at its own order stays far below the recursion limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
@@ -309,3 +310,52 @@ def test_level_reduce_matches_reduct_per_probe_reference(tmp_path, capsys):
             assert main(["uc", str(path), "-k", str(k)]) == 0
             assert capsys.readouterr().out.splitlines() == uc_lines(expected)
     assert unsatisfiable >= 5
+
+
+def small_draws():
+    """Satisfiable and unsatisfiable formulas of at most 6 variables."""
+    for seed in range(10):
+        yield random_formula("3cnf", 5, 12 + 2 * seed, seed)
+        yield random_formula("3cnf", 6, 20 + 2 * seed, seed)
+        yield random_formula("krom", 6, 6 + seed, seed)
+        yield random_formula("horn", 6, 8 + seed, seed)
+    for n in range(2, 7):
+        yield implication_cycle(n)
+
+
+def test_level_reduce_matches_the_reference_past_the_variable_count(
+    monkeypatch, tmp_path, capsys
+):
+    # every k from 1 to one past the variable count: at and above the
+    # variable count (k >= 3) the probes go to the complete refuter, at the
+    # top level or, from a lower k, inside the recursion once the probed
+    # clause sets have few enough variables
+    searched = []
+    refuter = unitref._refuter
+
+    def counted(clauses, complete):
+        searched.append(complete)
+        return refuter(clauses, complete)
+
+    monkeypatch.setattr(unitref, "_refuter", counted)
+    path = tmp_path / "f.cnf"
+    routes = {"top": 0, "recursion": 0}
+    satisfiable = []
+    for f in small_draws():
+        path.write_text(emit_dimacs(f))
+        f = parse_dimacs(path.read_text())
+        satisfiable.append(solve(f) is not None)
+        n = len(f.variables)
+        for k in range(1, n + 2):
+            searched.clear()
+            expected = reference_level(f, k, {})
+            got = level_reduce(f, k)
+            assert got.forced == expected.forced
+            assert got.residual.clauses() == expected.residual.clauses()
+            assert got.contradiction == expected.contradiction
+            assert main(["uc", str(path), "-k", str(k)]) == 0
+            assert capsys.readouterr().out.splitlines() == uc_lines(expected)
+            if any(searched):
+                routes["top" if k >= max(n, 3) else "recursion"] += 1
+    assert 15 <= sum(satisfiable) <= len(satisfiable) - 15
+    assert routes["top"] > 80 and routes["recursion"] > 80

@@ -289,21 +289,6 @@ COMMANDS = {
 }
 
 
-class _Unparsed(Exception):
-    """What the flat parser leaves to the full parser: help or an error."""
-
-
-class _FlatParser(argparse.ArgumentParser):
-    """One subcommand's arguments on a parser of their own; it prints
-    nothing, and raises _Unparsed where argparse would print and exit."""
-
-    def print_help(self, file=None):
-        raise _Unparsed
-
-    def error(self, message):
-        raise _Unparsed
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
@@ -318,40 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_flat(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """`argv` parsed on the arguments of the subcommand it names alone, or
-    None where the full parser must answer: no or an unknown subcommand,
-    help, an error, or arguments left over."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    name = argv[0]
-    parser = _FlatParser(
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s parser on its own, built as build_parser builds
+    it, so that it prints the same help and the same errors."""
+    parser = argparse.ArgumentParser(
         prog=f"satbones {name}",
-        add_help=False,
-        # a fixed width, since it never prints: argparse's default formatter
-        # reads the terminal size at every add_argument
+        # a fixed width while the arguments are added: argparse's default
+        # formatter reads the terminal size at every add_argument
         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
-    # declared as on the subcommand's parser, so that argparse reads every
-    # string alike there and here: "-h x" is no path but a help error
-    parser.add_argument("-h", "--help", action="help")
     COMMANDS[name][1](parser)
-    try:
-        args = parser.parse_args(argv[1:])
-    except _Unparsed:
-        return None
-    args.command = name
-    args.handler = globals()[f"cmd_{name}"]
-    return args
+    parser.set_defaults(command=name, handler=globals()[f"cmd_{name}"])
+    # help and errors are sized to the terminal when they print
+    parser.formatter_class = argparse.HelpFormatter
+    return parser
 
 
 def main(argv=None) -> int:
-    # a well-formed command is parsed on its own arguments alone; the full
-    # parser, with every subcommand, prints help and every usage error
+    # a command is parsed on its own parser, which prints its help and its
+    # errors; the full parser answers no or an unknown command, and leftover
+    # arguments, which only it reports as unrecognized
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_flat(argv)
-    if args is None:
+    args = rest = None
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
         args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -405,13 +405,16 @@ def test_main_builds_no_subparser_for_a_well_formed_command(
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     assert main(["report", chain_file]) == 0
     assert main(["uc", chain_file, "-k", "1"]) == 0
+    # the command's own parser prints its errors
+    assert _exit_code(["report", chain_file, "--kmax", "x"]) == 2
     assert names == []
     cli.build_parser()
     assert names == list(cli.COMMANDS)
     for argv, code in (
         (["-h"], 0),
+        ([], 2),
+        (["rep"], 2),
         (["report", chain_file, "--bogus"], 2),
-        (["report", chain_file, "--kmax", "x"], 2),
     ):
         names.clear()
         assert _exit_code(argv) == code
@@ -480,37 +483,55 @@ def _run_in(directory, argv, capsys):
     return code, out, err, written
 
 
-def test_flat_parse_changes_no_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+class _NoCommand(dict):
+    """COMMANDS as build_parser reads it, but holding no name that main
+    looks up, so that main parses every list on the full parser."""
+
+    def __contains__(self, name):
+        return False
+
+
+def test_command_parser_changes_no_bytes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "F.cnf").write_text(CHAIN)
+    parsed = []
+    for name in cli.COMMANDS:
+        handler = getattr(cli, f"cmd_{name}")
 
-    def unparsed(self, args=None, namespace=None):
-        raise cli._Unparsed
+        def recorded(args, handler=handler):
+            parsed.append(vars(args))
+            return handler(args)
 
-    flat = []
-    for argv in PARSE_TABLE:
-        args = cli._parse_flat(argv)
-        if args is not None:
-            flat.append(argv)
-            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
-        with_flat = _run_in(tmp_path, argv, capsys)
-        with monkeypatch.context() as patch:
-            patch.setattr(cli._FlatParser, "parse_known_args", unparsed)
-            assert _run_in(tmp_path, argv, capsys) == with_flat, argv
-    # the table reaches both paths, and every way of writing a value
-    assert len(flat) > 80 and len(PARSE_TABLE) - len(flat) > 80
-    for argv in (
-        ["report", *BASE["report"], "--km", "3"],
-        ["uc", *BASE["uc"], "-k3"],
-        ["report", *BASE["report"], "--output=out.txt"],
-        ["local", *BASE["local"], "--var=-1"],
-        ["generate", "-n", "6", "--family", "cycle", "-o", "c.cnf"],
-    ):
-        assert argv in flat
-    for argv in (
-        ["report", *BASE["report"], "--he"],
-        ["report", *BASE["report"], "-h x"],
-        ["report", *BASE["report"], "-o", "-h x"],
-    ):
-        assert argv not in flat
+        monkeypatch.setattr(cli, f"cmd_{name}", recorded)
+    # at 80 columns the width the parser is built at and the terminal's
+    # almost agree; at 50 a formatter left at the built width would show
+    for columns in ("80", "50"):
+        monkeypatch.setenv("COLUMNS", columns)
+        accepted = []
+        for argv in PARSE_TABLE:
+            parsed.clear()
+            answer = _run_in(tmp_path, argv, capsys)
+            if parsed:
+                accepted.append(argv)
+                assert parsed == [vars(cli.build_parser().parse_args(argv))], argv
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "COMMANDS", _NoCommand(cli.COMMANDS))
+                assert _run_in(tmp_path, argv, capsys) == answer, (columns, argv)
+        # the table holds both accepted and refused lists, and every way of
+        # writing a value
+        assert len(accepted) > 80 and len(PARSE_TABLE) - len(accepted) > 80
+        for argv in (
+            ["report", *BASE["report"], "--km", "3"],
+            ["uc", *BASE["uc"], "-k3"],
+            ["report", *BASE["report"], "--output=out.txt"],
+            ["local", *BASE["local"], "--var=-1"],
+            ["generate", "-n", "6", "--family", "cycle", "-o", "c.cnf"],
+        ):
+            assert argv in accepted
+        for argv in (
+            ["report", *BASE["report"], "--he"],
+            ["report", *BASE["report"], "-h x"],
+            ["report", *BASE["report"], "-o", "-h x"],
+            ["report", *BASE["report"], "extra"],
+        ):
+            assert argv not in accepted

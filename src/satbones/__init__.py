@@ -2,14 +2,13 @@
 formulas, with instance generators and a reporting CLI.
 
 The class-specialized polynomial algorithms of ``horn`` and ``krom`` are
-called by no command; they stay imported here only because the
-benchmark's tracer looks both modules up by name, until the benchmark
-drops them (ROADMAP item 4).
+called by no command, so their names are not exported; the two modules
+are imported here only because the benchmark's tracer looks both up by
+name, until the benchmark drops them (ROADMAP item 4).
 """
 
 from .backbones import (
     IterativeResult,
-    UnsatDetected,
     is_k_backbone,
     iterative_k_backbones,
     local_backbones,
@@ -23,8 +22,7 @@ from .formula import (
     TautologicalClauseError,
     classify,
 )
-from .horn import horn_consequences
-from .krom import ImplicationGraph, krom_iterative_backbones
+from . import horn, krom
 from .report import BackboneRecord, OrderDistribution, build_report
 from .solver import UnsatFormulaError, full_backbones, solve
 from .unitref import LevelReduction, level_reduce
@@ -39,21 +37,17 @@ __all__ = [
     "DimacsError",
     "FormulaClass",
     "FormulaClassError",
-    "ImplicationGraph",
     "IterativeResult",
     "LevelReduction",
     "OrderDistribution",
     "TautologicalClauseError",
-    "UnsatDetected",
     "UnsatFormulaError",
     "build_report",
     "classify",
     "emit_dimacs",
     "full_backbones",
-    "horn_consequences",
     "is_k_backbone",
     "iterative_k_backbones",
-    "krom_iterative_backbones",
     "level_reduce",
     "local_backbones",
     "parse_dimacs",

@@ -14,11 +14,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .formula import CnfFormula, literal_order
+from .solver import UnsatFormulaError
 from .unsat_subsets import sus_search
-
-
-class UnsatDetected(Exception):
-    """Iterative analysis found the input unsatisfiable at the given level."""
 
 
 class IterativeResult(NamedTuple):
@@ -59,7 +56,8 @@ def is_k_backbone(
 
 
 def local_backbones(formula: CnfFormula, k: int) -> dict[int, bool]:
-    """All k-backbone variables with the polarity ``is_k_backbone`` gives."""
+    """All k-backbone variables with the polarity ``is_k_backbone`` gives,
+    in ascending variable order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     found = {}
@@ -78,14 +76,14 @@ def force_fixpoint(
     ``forced_in(current)`` returns the literals forced in the current
     formula, in scan order; the round's literals are asserted together and
     the next round scans the reduct, until a round forces nothing.  Raises
-    UnsatDetected if a contradiction surfaces (an empty clause, or both
+    UnsatFormulaError if a contradiction surfaces (an empty clause, or both
     polarities of a variable forced in one round).
     """
     current = formula
     forced: list[int] = []
     while True:
         if current.empty_clause_id() is not None:
-            raise UnsatDetected("empty clause reached")
+            raise UnsatFormulaError("empty clause reached")
         new_literals = forced_in(current)
         if not new_literals:
             return IterativeResult(
@@ -94,7 +92,7 @@ def force_fixpoint(
         round_set = set(new_literals)
         for lit in new_literals:
             if -lit in round_set:
-                raise UnsatDetected(
+                raise UnsatFormulaError(
                     f"both polarities of variable {abs(lit)} are forced"
                 )
         forced.extend(new_literals)
@@ -107,7 +105,8 @@ def iterative_k_backbones(formula: CnfFormula, k: int) -> IterativeResult:
     One round scans every literal of the current formula (ascending variable,
     positive polarity first) and tests whether asserting its complement
     leaves an unsatisfiable subset of at most k clauses; the consequences are
-    applied between rounds.  Raises UnsatDetected if a contradiction surfaces.
+    applied between rounds.  Raises UnsatFormulaError if a contradiction
+    surfaces.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -136,7 +135,7 @@ def backbone_orders(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    literal = {v: v if backbone[v] else -v for v in sorted(backbone)}
+    literal = {v: v if backbone[v] else -v for v in backbone}
     witness = {v: _witness(formula, l, kmax) for v, l in literal.items()}
     order = {v: len(w) if w else kmax + 1 for v, w in witness.items()}
     iterative: dict[int, int] = {}

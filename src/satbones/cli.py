@@ -16,7 +16,6 @@ import traceback
 from typing import Optional, Sequence
 
 from .backbones import (
-    UnsatDetected,
     _require_variable,
     is_k_backbone,
     iterative_k_backbones,
@@ -104,7 +103,7 @@ def cmd_solve(args) -> int:
 def cmd_backbones(args) -> int:
     formula = _read_formula(args)
     found = full_backbones(formula)
-    _print_literals([v if found[v] else -v for v in sorted(found)])
+    _print_literals([v if value else -v for v, value in found.items()])
     return EXIT_OK
 
 
@@ -134,7 +133,7 @@ def cmd_local(args) -> int:
         print(_excerpt(formula, witness))
         return EXIT_OK
     found = local_backbones(formula, args.k)
-    _print_literals([v if found[v] else -v for v in sorted(found)])
+    _print_literals([v if value else -v for v, value in found.items()])
     return EXIT_OK
 
 
@@ -296,16 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Backbone and small-unsatisfiable-subset analysis of CNF formulas",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(handler=globals()[f"cmd_{name}"])
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(
+            name, help=help_text, add_help=False, parents=[_command_parser(name)]
+        )
     return parser
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """Subcommand `name`'s parser on its own, built as build_parser builds
-    it, so that it prints the same help and the same errors."""
+    """Subcommand `name`'s parser on its own: its arguments, help and
+    defaults.  The one definition of a subcommand: build_parser assembles
+    the full parser from these, so both print the same help and errors."""
     parser = argparse.ArgumentParser(
         prog=f"satbones {name}",
         # a fixed width while the arguments are added: argparse's default
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (UnsatFormulaError, UnsatDetected) as exc:
+    except UnsatFormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSAT
     except (ValueError, OSError) as exc:

@@ -61,8 +61,8 @@ def krom_iterative_backbones(formula: CnfFormula, k: int) -> IterativeResult:
 
     A literal is forced when its complement reaches it within k edges; each
     round builds one implication graph of the current formula and forces
-    every such literal (see force_fixpoint).  Raises UnsatDetected when a
-    contradiction surfaces.
+    every such literal (see force_fixpoint).  Raises UnsatFormulaError when
+    a contradiction surfaces.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

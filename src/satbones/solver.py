@@ -31,7 +31,8 @@ Assignment = dict[int, bool]
 
 
 class UnsatFormulaError(Exception):
-    """Raised where a satisfiable formula is required."""
+    """The input is unsatisfiable: raised where a satisfiable formula is
+    required, and where an iterative analysis reaches a contradiction."""
 
 
 def _assert(clauses: Iterable[frozenset[int]], lit: int) -> list[frozenset[int]]:
@@ -244,7 +245,8 @@ def solve(formula: CnfFormula) -> Optional[Assignment]:
 
 
 def full_backbones(formula: CnfFormula) -> dict[int, bool]:
-    """All variables with one truth value across all models, with that value.
+    """All variables with one truth value across all models, with that value,
+    in ascending variable order.
 
     One SAT test per candidate literal l: l is a backbone literal exactly
     when F ∧ ¬l is unsatisfiable.  Each backbone literal proven is asserted

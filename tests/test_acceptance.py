@@ -25,14 +25,12 @@ from conftest import (
     unit_propagate,
 )
 from satbones import (
-    UnsatDetected,
+    UnsatFormulaError,
     build_report,
     classify,
     full_backbones,
-    horn_consequences,
     is_k_backbone,
     iterative_k_backbones,
-    krom_iterative_backbones,
     level_reduce,
     local_backbones,
     solve,
@@ -46,6 +44,8 @@ from satbones.generators import (
     implication_cycle,
     random_formula,
 )
+from satbones.horn import horn_consequences
+from satbones.krom import krom_iterative_backbones
 
 
 def small_mixed_formula(seed: int):
@@ -130,7 +130,7 @@ def test_criterion_03_unit_propagation_identity():
         if propagated.conflict:
             # all three detect the contradiction consistently
             assert level_reduce(formula, 1).contradiction
-            with pytest.raises(UnsatDetected):
+            with pytest.raises(UnsatFormulaError):
                 iterative_k_backbones(formula, 1)
             continue
         expected = set(propagated.forced)

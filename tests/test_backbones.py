@@ -11,7 +11,7 @@ from conftest import (
     unit_propagate,
 )
 from satbones import (
-    UnsatDetected,
+    UnsatFormulaError,
     classify,
     full_backbones,
     is_k_backbone,
@@ -149,6 +149,19 @@ def test_local_backbones_equal_full_at_clause_count():
     assert seen >= 15
 
 
+def test_backbone_dicts_come_in_ascending_variable_order():
+    # the backbones and local commands print these dicts in the order they
+    # come, without sorting them again
+    several = 0
+    for f in mixed_corpus(80, seed_base=7):
+        if solve(f) is None:
+            continue
+        for found in (full_backbones(f), local_backbones(f, 2)):
+            assert list(found) == sorted(found)
+            several += len(found) > 1
+    assert several >= 20
+
+
 def test_iterative_unit_chain_is_unit_propagation():
     f = F([1], [-1, 2], [-2, 3])
     result = iterative_k_backbones(f, 1)
@@ -162,7 +175,7 @@ def test_iterative_matches_unit_propagation_random():
         f = random_formula("krom", 7, 9, seed)
         propagated = unit_propagate(f)
         if propagated.conflict:
-            with pytest.raises(UnsatDetected):
+            with pytest.raises(UnsatFormulaError):
                 iterative_k_backbones(f, 1)
             continue
         checked += 1
@@ -178,9 +191,9 @@ def test_iterative_cycle_threshold():
 
 
 def test_iterative_unsat_detected():
-    with pytest.raises(UnsatDetected):
+    with pytest.raises(UnsatFormulaError):
         iterative_k_backbones(F([1], [-1]), 1)
-    with pytest.raises(UnsatDetected):
+    with pytest.raises(UnsatFormulaError):
         iterative_k_backbones(F([]), 1)
 
 

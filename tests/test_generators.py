@@ -127,7 +127,7 @@ def test_shortest_hyperpath_examples():
 
 
 def test_shortest_hyperpath_agrees_with_forward_chaining():
-    from satbones import horn_consequences
+    from satbones.horn import horn_consequences
 
     for seed in range(40):
         f = random_formula("definite_horn", 6, 7, seed, min_width=2)

@@ -4,10 +4,10 @@ from conftest import F, tt_entails
 from satbones import (
     FormulaClassError,
     full_backbones,
-    horn_consequences,
     iterative_k_backbones,
 )
 from satbones.generators import random_formula
+from satbones.horn import horn_consequences
 
 
 def test_consequences_chain():

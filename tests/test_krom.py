@@ -3,13 +3,12 @@ import pytest
 from conftest import F
 from satbones import (
     FormulaClassError,
-    ImplicationGraph,
-    UnsatDetected,
+    UnsatFormulaError,
     iterative_k_backbones,
-    krom_iterative_backbones,
     solve,
 )
 from satbones.generators import random_formula
+from satbones.krom import ImplicationGraph, krom_iterative_backbones
 
 
 def edges_of(graph):
@@ -62,7 +61,7 @@ def test_iterative_needs_long_enough_paths():
 
 
 def test_iterative_unsat_detected():
-    with pytest.raises(UnsatDetected):
+    with pytest.raises(UnsatFormulaError):
         krom_iterative_backbones(F([1], [-1]), 1)
 
 

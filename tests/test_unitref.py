@@ -9,7 +9,7 @@ from conftest import F, tt_entails, unit_propagate
 from satbones import (
     CnfFormula,
     LevelReduction,
-    UnsatDetected,
+    UnsatFormulaError,
     iterative_k_backbones,
     level_reduce,
     solve,
@@ -173,7 +173,7 @@ def test_iterative_forced_contained_in_level_forced():
         for k in (2, 3):
             try:
                 iterative = set(iterative_k_backbones(f, k).forced)
-            except UnsatDetected:
+            except UnsatFormulaError:
                 continue
             assert iterative <= level_reduce(f, k).forced
 

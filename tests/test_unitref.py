@@ -19,6 +19,7 @@ from satbones.cli import main
 from satbones.dimacs import emit_dimacs, parse_dimacs
 from satbones.formula import literal_order
 from satbones.generators import implication_cycle, random_formula
+from satbones.solver import solve_sets
 
 
 def test_level_one_is_unit_propagation_chain():
@@ -125,24 +126,44 @@ def test_collapse_builds_no_reduct(monkeypatch):
 
 def test_levels_above_one_never_reach_level_one(monkeypatch):
     # level 2 answers its probes by unit propagation on one clause index, so
-    # neither it nor the recursion above it calls or memoizes level 1
+    # neither it nor the recursion above it calls level 1
     levels = []
-    memos = []
     level = unitref._level
 
-    def counted(clauses, k, memo):
+    def counted(clauses, k, unsat):
         levels.append(k)
-        memos.append(memo)
-        return level(clauses, k, memo)
+        return level(clauses, k, unsat)
 
     monkeypatch.setattr(unitref, "_level", counted)
     for f in (random_formula("3cnf", 10, 40, 1), implication_cycle(6)):
         for k in (2, 3, 4):
             levels.clear()
-            memos.clear()
             level_reduce(f, k)
             assert set(levels) == set(range(2, k + 1))
-            assert {key[1] for memo in memos for key in memo} == set(levels)
+
+
+def test_recursion_runs_only_on_unsatisfiable_probes(monkeypatch):
+    # a level below the variable count recurses only on the probes its
+    # complete refuter refutes, and tells the recursion they are
+    # unsatisfiable; only the top call may be told otherwise
+    calls = []
+    level = unitref._level
+
+    def checked(clauses, k, unsat):
+        calls.append((clauses, unsat))
+        return level(clauses, k, unsat)
+
+    monkeypatch.setattr(unitref, "_level", checked)
+    recursed = 0
+    for f in (random_formula("3cnf", 12, 48, 3), implication_cycle(12)):
+        for k in (3, 4, 5):
+            calls.clear()
+            level_reduce(f, k)
+            for clauses, unsat in calls[1:]:
+                assert unsat
+                assert solve_sets(clauses) is None
+            recursed += len(calls) - 1
+    assert recursed > 0
 
 
 def test_cycle_is_caught_at_level_two():
@@ -189,7 +210,7 @@ def test_forced_literals_are_entailed():
         f = random_formula("3cnf", 6, 9, seed)
         if solve(f) is None:
             continue
-        for k in (1, 2):
+        for k in (1, 2, 3, 4):
             for lit in level_reduce(f, k).forced:
                 assert tt_entails(f, lit)
 

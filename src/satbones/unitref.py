@@ -69,7 +69,7 @@ def _level(
                 candidates = (l for l in candidates if refuted(-l))
             if 2 < k < len(variables):
                 # below the variable count a refuted probe must also
-                # collapse a level lower; it is unsatisfiable
+                # collapse a level lower, where it is known unsatisfiable
                 candidates = (
                     l
                     for l in candidates
@@ -94,9 +94,9 @@ def level_reduce(formula: CnfFormula, k: int) -> LevelReduction:
     test refutes, which are unsatisfiable.  Nothing is memoized.  When
     2 < k < the variable count, one SAT call on the input says whether it
     is unsatisfiable: then every probe is, and the levels that recurse
-    build no index.
-    Only the returned residual carries clause ids.  Without a contradiction
-    the fixpoint is independent of the literal scan order.
+    build no index.  Only the returned residual carries clause ids.
+    Without a contradiction the fixpoint is independent of the literal scan
+    order.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
